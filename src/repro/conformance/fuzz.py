@@ -23,6 +23,10 @@ has grown:
   monotone anytime snapshot trajectory; the randomized-rounding mapper
   must always place within Eqs. 1-3 and can never beat a proven
   optimum.
+* **tenancy round trip** — admitting several tenants (with replicas
+  and backup paths) and then releasing all of them must return the
+  shared state to pristine, through the admission service and through
+  chaos-operator departures alike.
 
 Each disagreement becomes a :class:`Divergence` carrying a
 self-contained JSON repro artifact (serialized cluster, venv, and
@@ -61,6 +65,10 @@ EXACT_SEARCH_SPACE_LIMIT = 300_000
 
 #: Objective comparisons tolerate accumulated-fsum noise, nothing more.
 OBJECTIVE_TOL = 1e-9
+
+#: Float residuals drift by ~1e-12 over an admit/release round; the
+#: round trip is exact only once residuals are integer fixed-point.
+ROUNDTRIP_TOL = 1e-9
 
 _FAMILIES = (
     "line",
@@ -102,6 +110,7 @@ class FuzzReport:
     n_shard_gap: int = 0
     n_redundant: int = 0
     n_portfolio: int = 0
+    n_tenancy: int = 0
     divergences: list[Divergence] = field(default_factory=list)
 
     @property
@@ -120,6 +129,7 @@ class FuzzReport:
             "n_shard_gap": self.n_shard_gap,
             "n_redundant": self.n_redundant,
             "n_portfolio": self.n_portfolio,
+            "n_tenancy": self.n_tenancy,
             "ok": self.ok,
             "divergences": [dataclasses.asdict(d) for d in self.divergences],
         }
@@ -635,6 +645,91 @@ def _check_portfolio_seed(seed: int, base_seed: int, report: FuzzReport) -> None
             report.divergences.append(Divergence(seed, check, detail, artifact))
 
 
+def _roundtrip_residue(state, ledger) -> str | None:
+    """What an emptied shared state still holds, or ``None`` when it is
+    pristine: nothing placed, nothing in the backup ledger, memory back
+    to capacity exactly, float residuals within :data:`ROUNDTRIP_TOL`."""
+    from repro.core.state import ClusterState
+
+    if state.n_placed:
+        return f"{state.n_placed} guests still placed"
+    if ledger.total_reserved:
+        return f"backup ledger still reserves {ledger.total_reserved:.6g}"
+    fresh = ClusterState(state.cluster)
+    for h in state.cluster.host_ids:
+        if state.residual_mem(h) != fresh.residual_mem(h):
+            return f"host {h!r} memory {state.residual_mem(h)} != {fresh.residual_mem(h)}"
+        for name in ("residual_stor", "residual_proc"):
+            got, want = getattr(state, name)(h), getattr(fresh, name)(h)
+            if abs(got - want) > ROUNDTRIP_TOL:
+                return f"host {h!r} {name} {got!r} != {want!r}"
+    for e in state.cluster.link_keys:
+        got, want = state.residual_bw(*e), fresh.residual_bw(*e)
+        if abs(got - want) > ROUNDTRIP_TOL:
+            return f"edge {e!r} bandwidth {got!r} != {want!r}"
+    return None
+
+
+def _check_tenancy_seed(seed: int, base_seed: int, report: FuzzReport) -> None:
+    """The tenancy round-trip arm on one instance.
+
+    Hard check: two or three tenants admitted with ``k`` standby
+    replicas (and, on a coin flip, backup paths), then all released,
+    leave the shared state pristine (:func:`_roundtrip_residue`) — once
+    through :class:`~repro.service.core.ServiceCore`, once through
+    :class:`~repro.resilience.operator.ChaosOperator` departures.
+    """
+    from repro.io import venv_to_dict
+    from repro.resilience.faults import FaultEvent
+    from repro.resilience.operator import ChaosOperator
+    from repro.service import MapRequest, ServiceCore
+    from repro.workload import LOW_LEVEL, generate_virtual_environment
+
+    cluster, _venv, config = generate_instance(seed, base_seed=base_seed)
+    rng = derive(base_seed, "conformance", "fuzz-tenancy", seed)
+    config = dataclasses.replace(
+        config,
+        redundancy=int(rng.integers(0, 3)),
+        backup_paths=bool(rng.random() < 0.5),
+        engine="dict" if rng.random() < 0.5 else "compiled",
+    )
+    venvs = [
+        generate_virtual_environment(
+            max(2, int(round(cluster.n_hosts * rng.uniform(0.5, 1.5)))),
+            workload=LOW_LEVEL,
+            density=float(rng.uniform(0.1, 0.4)),
+            seed=int(rng.integers(0, 2**31)),
+            id_offset=t * 100_000,
+        )
+        for t in range(int(rng.integers(2, 4)))
+    ]
+    report.n_tenancy += 1
+
+    core = ServiceCore(cluster, config=config)
+    for t, venv in enumerate(venvs):
+        core.admit(MapRequest(tenant=t, venv=venv))
+    for t in range(len(venvs)):
+        core.release(t)
+    residues = [("tenancy-service-roundtrip", _roundtrip_residue(core.state, core.ledger))]
+
+    op = ChaosOperator(cluster, make_venv=lambda i, _rng: venvs[i], config=config)
+    events = [("tenant_arrive", t) for t in range(len(venvs))]
+    events += [("tenant_depart", t) for t in range(len(venvs))]
+    for i, (kind, t) in enumerate(events):
+        op.apply(FaultEvent(time=float(i), seq=i, kind=kind, target=t))
+    residues.append(("tenancy-chaos-roundtrip", _roundtrip_residue(op.state, op._ledger)))
+
+    for check, residue in residues:
+        if residue is not None:
+            artifact = _artifact(cluster, venvs[0], config)
+            artifact["venvs"] = [artifact.pop("venv")] + [
+                venv_to_dict(v) for v in venvs[1:]
+            ]
+            report.divergences.append(
+                Divergence(seed, check, f"after releasing every tenant: {residue}", artifact)
+            )
+
+
 def _runner_differential(grid_seed: int, base_seed: int, report: FuzzReport) -> None:
     """Serial vs parallel BatchRunner over one small random grid."""
     from repro.analysis.runner import BatchRunner, CellSpec
@@ -702,6 +797,7 @@ def run_fuzz(
     shard_seeds: int | None = None,
     redundant_seeds: int | None = None,
     portfolio_seeds: int | None = None,
+    tenancy_seeds: int | None = None,
     progress: Callable[[int, FuzzReport], None] | None = None,
 ) -> FuzzReport:
     """Run the full differential campaign over ``n_seeds`` instances.
@@ -710,7 +806,8 @@ def run_fuzz(
     comparisons ride along (default: one per 25 seeds, minimum 1);
     ``shard_seeds`` how many forced-shard instances get the sharded
     arms, ``redundant_seeds`` how many get the availability arms, and
-    ``portfolio_seeds`` how many get the solver-portfolio arms
+    ``portfolio_seeds`` how many get the solver-portfolio arms and
+    ``tenancy_seeds`` how many get the tenancy round-trip arm
     (each defaults to one per 5 seeds, minimum 1).  Deterministic for
     a fixed ``(n_seeds, base_seed)``.
     """
@@ -736,4 +833,8 @@ def run_fuzz(
         portfolio_seeds = max(1, n_seeds // 5)
     for seed in range(portfolio_seeds):
         _check_portfolio_seed(seed, base_seed, report)
+    if tenancy_seeds is None:
+        tenancy_seeds = max(1, n_seeds // 5)
+    for seed in range(tenancy_seeds):
+        _check_tenancy_seed(seed, base_seed, report)
     return report

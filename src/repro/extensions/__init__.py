@@ -13,12 +13,6 @@ shared state (``hmn_map(..., state=...)``) are further extensions that
 live with the components they extend.
 """
 
-from repro.extensions.admission import (
-    AdmissionResult,
-    TenantEvent,
-    release_tenant,
-    simulate_admissions,
-)
 from repro.extensions.exact import exact_map
 from repro.extensions.consolidation import consolidation_map, run_draining, run_packing
 from repro.extensions.remap import (
@@ -53,10 +47,6 @@ __all__ = [
     "evacuate_host",
     "evacuate_switch",
     "RemapSummary",
-    "simulate_admissions",
-    "release_tenant",
-    "AdmissionResult",
-    "TenantEvent",
     "run_packing",
     "run_draining",
     "portfolio_map",

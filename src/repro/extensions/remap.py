@@ -32,6 +32,7 @@ and load shedding — lives in :mod:`repro.resilience`.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Hashable
@@ -41,11 +42,12 @@ from repro.core.mapping import Mapping, StageReport
 from repro.core.state import ClusterState
 from repro.core.venv import VirtualEnvironment
 from repro.core.vlink import VLinkKey
-from repro.errors import ModelError, PlacementError
+from repro.errors import ModelError
 from repro.hmn.config import HMNConfig
 from repro.hmn.hosting import run_hosting
 from repro.hmn.networking import run_networking
 from repro.routing.dijkstra import LatencyOracle
+from repro.tenancy import evacuate
 
 __all__ = ["RemapSummary", "extend_mapping", "evacuate_host", "evacuate_switch"]
 
@@ -63,26 +65,15 @@ class RemapSummary:
 
 
 def _restore_state(
-    cluster: PhysicalCluster,
-    venv: VirtualEnvironment,
-    mapping: Mapping,
-    *,
-    skip_guests: frozenset[int] = frozenset(),
+    cluster: PhysicalCluster, venv: VirtualEnvironment, mapping: Mapping
 ) -> ClusterState:
-    """Rebuild the allocation state a mapping implies, minus *skip_guests*
-    (whose placements and incident reservations are left out)."""
+    """Rebuild the allocation state a mapping implies."""
     state = ClusterState(cluster)
     for guest in venv.guests():
-        if guest.id in skip_guests or guest.id not in mapping.assignments:
-            continue
-        state.place(guest, mapping.host_of(guest.id))
+        if guest.id in mapping.assignments:
+            state.place(guest, mapping.host_of(guest.id))
     for key, nodes in mapping.paths.items():
-        if not venv.has_vlink(*key):
-            continue
-        a, b = key
-        if a in skip_guests or b in skip_guests:
-            continue
-        if len(nodes) > 1:
+        if venv.has_vlink(*key) and len(nodes) > 1:
             state.reserve_path(nodes, venv.vlink(*key).vbw)
     return state
 
@@ -201,12 +192,12 @@ def evacuate_host(
     blocked during re-routing — other surviving paths that already
     avoid the host are untouched).  ``dead=False`` models a *drain* for
     maintenance: guests leave, but the host keeps forwarding, so
-    transit paths stay put.  Raises
-    :class:`~repro.errors.PlacementError` when the survivors cannot
-    absorb the displaced guests.
+    transit paths stay put.  Displaced guests go largest ``vproc``
+    first (guest id on ties) onto the most idle surviving host that
+    fits — :func:`repro.tenancy.evacuate`, the chaos operator's heal
+    rule.  Raises :class:`~repro.errors.PlacementError` when the
+    survivors cannot absorb the displaced guests.
     """
-    if config is None:
-        config = HMNConfig()
     if failed_host not in cluster:
         raise ModelError(f"{failed_host!r} is not a node of this cluster")
     if cluster.is_switch(failed_host):
@@ -215,91 +206,12 @@ def evacuate_host(
             "guests — use evacuate_switch (or the switch-failure handling in "
             "repro.resilience) to re-route around a lost forwarding node"
         )
-
-    displaced = frozenset(
-        gid for gid, host in mapping.assignments.items() if host == failed_host
+    return _evacuate(
+        cluster, venv, mapping, config, oracle,
+        leaving=frozenset({failed_host}),
+        dead=frozenset({failed_host}) if dead else frozenset(),
+        meta={"evacuated_host": failed_host},
     )
-    # Links to re-route: any with a displaced endpoint; with dead
-    # semantics, also any whose path merely transits the failed host.
-    touched: set[VLinkKey] = set()
-    for key, nodes in mapping.paths.items():
-        if not venv.has_vlink(*key):
-            continue
-        if key[0] in displaced or key[1] in displaced:
-            touched.add(key)
-        elif dead and failed_host in nodes[1:-1]:
-            touched.add(key)
-
-    state = _restore_state(cluster, venv, mapping, skip_guests=displaced)
-    # Release transit-only paths too (their endpoints are not displaced).
-    for key in touched:
-        a, b = key
-        if a in displaced or b in displaced:
-            continue  # never reserved during restore
-        nodes = mapping.paths[key]
-        if len(nodes) > 1:
-            state.release_path(nodes, venv.vlink(*key).vbw)
-
-    # Re-place displaced guests on survivors, best-balance first.
-    t0 = time.perf_counter()
-    for gid in sorted(displaced, key=lambda g: -venv.guest(g).vproc):
-        guest = venv.guest(gid)
-        candidates = [
-            h
-            for h in state.cpu.hosts_by_residual_descending()
-            if h != failed_host and state.fits(guest, h)
-        ]
-        if not candidates:
-            raise PlacementError(gid, f"no surviving host can absorb guest from {failed_host!r}")
-        state.place(guest, candidates[0])
-    placement_elapsed = time.perf_counter() - t0
-
-    reroute = VirtualEnvironment(name=f"{venv.name}-evac")
-    for g in venv.guests():
-        reroute.add_guest(g)
-    for key in touched:
-        reroute.add_vlink(venv.vlink(*key))
-
-    # Dead semantics: blackhole the host's links for the duration of the
-    # re-routing by reserving out their entire residual bandwidth (new
-    # paths need bw > 0, so none can cross).
-    blocked: list[tuple[tuple[NodeId, NodeId], float]] = []
-    if dead:
-        for nbr in cluster.neighbors(failed_host):
-            residual = state.residual_bw(failed_host, nbr)
-            if residual > 0:
-                state.reserve_path([failed_host, nbr], residual)
-                blocked.append(((failed_host, nbr), residual))
-    t0 = time.perf_counter()
-    try:
-        new_paths, networking_stats = run_networking(state, reroute, config, oracle=oracle)
-    finally:
-        for (u, v), residual in blocked:
-            state.release_path([u, v], residual)
-    networking_elapsed = time.perf_counter() - t0
-
-    paths = {
-        key: nodes for key, nodes in mapping.paths.items()
-        if venv.has_vlink(*key) and key not in touched
-    }
-    paths.update(new_paths)
-    combined = Mapping(
-        assignments={g.id: state.host_of(g.id) for g in venv.guests()},
-        paths=paths,
-        mapper=f"{mapping.mapper}+evacuate" if mapping.mapper else "evacuate",
-        stages=(
-            StageReport("evacuate-placement", placement_elapsed, {"displaced": len(displaced)}),
-            StageReport("evacuate-networking", networking_elapsed, networking_stats),
-        ),
-        meta={"objective": state.objective(), "evacuated_host": failed_host},
-    )
-    summary = RemapSummary(
-        guests_placed=tuple(sorted(displaced)),
-        links_rerouted=tuple(sorted(touched)),
-        guests_kept=venv.n_guests - len(displaced),
-        links_kept=venv.n_vlinks - len(touched),
-    )
-    return combined, summary
 
 
 def evacuate_switch(
@@ -320,8 +232,6 @@ def evacuate_switch(
     host's are).  Raises :class:`~repro.errors.RoutingError` when some
     severed link admits no detour in the residual bandwidth.
     """
-    if config is None:
-        config = HMNConfig()
     if failed_switch not in cluster:
         raise ModelError(f"{failed_switch!r} is not a node of this cluster")
     if cluster.is_host(failed_switch):
@@ -329,56 +239,40 @@ def evacuate_switch(
             f"{failed_switch!r} is a host, not a switch; its guests must be "
             "re-placed — use evacuate_host"
         )
-
-    touched: set[VLinkKey] = set()
-    for key, nodes in mapping.paths.items():
-        if venv.has_vlink(*key) and failed_switch in nodes:
-            touched.add(key)
-
-    state = _restore_state(cluster, venv, mapping)
-    for key in touched:
-        nodes = mapping.paths[key]
-        if len(nodes) > 1:
-            state.release_path(nodes, venv.vlink(*key).vbw)
-
-    reroute = VirtualEnvironment(name=f"{venv.name}-swfail")
-    for g in venv.guests():
-        reroute.add_guest(g)
-    for key in touched:
-        reroute.add_vlink(venv.vlink(*key))
-
-    blocked: list[tuple[tuple[NodeId, NodeId], float]] = []
-    for nbr in cluster.neighbors(failed_switch):
-        residual = state.residual_bw(failed_switch, nbr)
-        if residual > 0:
-            state.reserve_path([failed_switch, nbr], residual)
-            blocked.append(((failed_switch, nbr), residual))
-    t0 = time.perf_counter()
-    try:
-        new_paths, networking_stats = run_networking(state, reroute, config, oracle=oracle)
-    finally:
-        for (u, v), residual in blocked:
-            state.release_path([u, v], residual)
-    networking_elapsed = time.perf_counter() - t0
-
-    paths = {
-        key: nodes for key, nodes in mapping.paths.items()
-        if venv.has_vlink(*key) and key not in touched
-    }
-    paths.update(new_paths)
-    combined = Mapping(
-        assignments=dict(mapping.assignments),
-        paths=paths,
-        mapper=f"{mapping.mapper}+evacuate" if mapping.mapper else "evacuate",
-        stages=(
-            StageReport("evacuate-networking", networking_elapsed, networking_stats),
-        ),
-        meta={"objective": state.objective(), "evacuated_switch": failed_switch},
+    return _evacuate(
+        cluster, venv, mapping, config, oracle,
+        dead=frozenset({failed_switch}),
+        meta={"evacuated_switch": failed_switch},
     )
+
+
+def _evacuate(
+    cluster: PhysicalCluster,
+    venv: VirtualEnvironment,
+    mapping: Mapping,
+    config: HMNConfig | None,
+    oracle: LatencyOracle | None,
+    *,
+    leaving: frozenset[NodeId] = frozenset(),
+    dead: frozenset[NodeId],
+    meta: dict,
+) -> tuple[Mapping, RemapSummary]:
+    """One tenant through :func:`repro.tenancy.evacuate` on the state
+    *mapping* implies."""
+    state = _restore_state(cluster, venv, mapping)
+    (done,) = evacuate(
+        state,
+        [(venv, mapping)],
+        config if config is not None else HMNConfig(),
+        leaving=leaving,
+        dead=dead,
+        oracle=oracle,
+    )
+    combined = dataclasses.replace(done.mapping, meta={**done.mapping.meta, **meta})
     summary = RemapSummary(
-        guests_placed=(),
-        links_rerouted=tuple(sorted(touched)),
-        guests_kept=venv.n_guests,
-        links_kept=venv.n_vlinks - len(touched),
+        guests_placed=done.displaced,
+        links_rerouted=done.rerouted,
+        guests_kept=venv.n_guests - len(done.displaced),
+        links_kept=venv.n_vlinks - len(done.rerouted),
     )
     return combined, summary

@@ -19,11 +19,10 @@ it can a self-healing operator keep alive?
 * :mod:`~repro.resilience.metrics` — :func:`survivability`, the
   scalar summary (availability, repair latency, objective drift).
 
-Exports resolve lazily (PEP 562): the operator pulls in the admission
-service's release path, which in turn leans on
-:mod:`~repro.resilience.transactions` — laziness keeps that triangle
-import-order-free, and spares transaction-only importers the whole
-chaos stack.
+Tenant records, release and the evacuation rule come from
+:mod:`repro.tenancy`, which the admission service shares; this package
+does not import :mod:`repro.service`.  Exports resolve lazily (PEP 562)
+so transaction-only importers (the service) skip the whole chaos stack.
 """
 
 from typing import Any

@@ -1,28 +1,34 @@
 """The self-healing operator loop: replay a chaos trace, keep tenants up.
 
-This is the continuous counterpart of the one-shot repairs in
-:mod:`repro.extensions.remap`.  A :class:`ChaosOperator` owns one
-long-lived :class:`~repro.core.state.ClusterState` and
-:class:`~repro.routing.cache.RoutingCache` for the whole run and feeds
-a :class:`~repro.resilience.faults.FailureModel` trace through it:
+A :class:`ChaosOperator` owns one long-lived
+:class:`~repro.core.state.ClusterState`, one
+:class:`~repro.routing.cache.RoutingCache` and one shared
+:class:`~repro.redundancy.ledger.BackupLedger` for the whole run, keeps
+its tenants as :class:`~repro.tenancy.Tenant` records, and feeds a
+:class:`~repro.resilience.faults.FailureModel` trace through them:
 
 * **tenant arrivals** are admitted with ``hmn_map(..., state=...)``
   against the residual (and fault-masked) capacity, rejections are
-  recorded;
+  recorded; **departures** free the whole allocation (replicas and
+  backups included) through :func:`repro.tenancy.release`, the same
+  release the admission service uses;
 * **host crashes** block the host (:meth:`ClusterState.block_host`),
   blackhole its links, then *heal* every tenant with a displaced guest
-  or a path through the dead machine — re-place displaced guests on
-  the survivors (largest ``vproc`` first onto the most-idle fitting
-  host, the evacuation rule of
-  :func:`~repro.extensions.remap.evacuate_host`) and re-route every
-  severed virtual link with the Networking stage;
+  or a path through the dead machine;
 * **switch failures** displace nothing but sever transit paths, healed
-  the same way (:func:`~repro.extensions.remap.evacuate_switch`
-  semantics);
+  the same way;
 * **link degradations** shrink a link to a fraction of its capacity by
   reserving the lost headroom out of the shared state; paths that no
   longer fit are re-routed;
 * **recoveries/restorations** return the masked capacity.
+
+Healing is :func:`repro.tenancy.evacuate`, the one evacuation rule
+:func:`~repro.extensions.remap.evacuate_host` and
+:func:`~repro.extensions.remap.evacuate_switch` also use: displaced
+guests go largest ``vproc`` first onto the most idle host that fits,
+and every severed virtual link is re-routed by the Networking stage.
+With redundancy on, a per-tenant fast failover onto standby replicas
+and backup paths runs first.
 
 Every heal attempt is a transaction: the operator snapshots the state
 (O(n) array copy), tries the repair, and on failure restores the
@@ -44,7 +50,7 @@ determinism tests compare).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
 import numpy as np
@@ -60,16 +66,23 @@ from repro.core.vlink import VLinkKey
 from repro.errors import ConfigError, MappingError, ModelError, PlacementError
 from repro.errors import CapacityError, RoutingError
 from repro.hmn.config import HMNConfig, keyword_only
-from repro.hmn.networking import run_networking
 from repro.hmn.pipeline import hmn_map
-from repro.redundancy.ledger import BackupLedger, RiskKey
+from repro.redundancy.ledger import BackupLedger
 from repro.redundancy.placement import REPLICA_STRIDE, replica_guest
-from repro.redundancy.stage import redundancy_records, risks_of_path
+from repro.redundancy.stage import risks_of_path
 from repro.resilience.faults import FailureModel, FaultEvent
 from repro.resilience.transactions import joint_transaction
 from repro.routing.cache import RoutingCache
 from repro.seeding import derive
-from repro.service.core import release_tenant
+from repro.tenancy import (
+    Backup,
+    Tenant,
+    drop_backups,
+    drop_replicas,
+    evacuate,
+    release,
+    severed,
+)
 
 __all__ = [
     "RepairPolicy",
@@ -259,46 +272,6 @@ class ChaosResult:
         return out
 
 
-@dataclass(frozen=True, slots=True)
-class _Backup:
-    """One pre-provisioned backup path held for a live tenant's vlink.
-
-    ``risks`` are the shared-risk keys the ledger admitted it under —
-    recorded at provisioning time so retirement subtracts exactly what
-    admission added, even after the primary was re-routed since.
-    """
-
-    nodes: tuple[NodeId, ...]
-    vbw: float
-    risks: frozenset[RiskKey]
-    disjoint: str
-
-
-@dataclass
-class _Tenant:
-    """A live tenant: its environment and its current mapping."""
-
-    tenant: int
-    venv: VirtualEnvironment
-    mapping: Mapping
-    admitted_at: float
-    total_vbw: float
-    repairs: int = 0
-    #: guest id -> surviving standby replicas as (replica_id, host)
-    replicas: dict[int, list[tuple[int, NodeId]]] = field(default_factory=dict)
-    #: vlink key -> pre-provisioned backup path
-    backups: dict[VLinkKey, _Backup] = field(default_factory=dict)
-
-    @property
-    def backup_vbw(self) -> float:
-        """Aggregate demand of held backups (the degradation order key)."""
-        return sum(b.vbw for b in self.backups.values())
-
-    @property
-    def replica_count(self) -> int:
-        return sum(len(v) for v in self.replicas.values())
-
-
 def _default_tenant(i: int, rng: np.random.Generator) -> VirtualEnvironment:
     from repro.workload import LOW_LEVEL, generate_virtual_environment
 
@@ -357,7 +330,7 @@ class ChaosOperator:
 
         self._state = ClusterState(cluster)
         self._cache = RoutingCache(cluster, engine=self.config.engine)
-        self._live: dict[int, _Tenant] = {}
+        self._live: dict[int, Tenant] = {}
         self._dead_hosts: set[NodeId] = set()
         self._dead_switches: set[NodeId] = set()
         self._degraded: dict[EdgeKey, float] = {}
@@ -375,10 +348,10 @@ class ChaosOperator:
         self._repairs: list[RepairRecord] = []
         self._samples: list[ChaosSample] = []
 
-        #: redundancy machinery (None of it engages at redundancy=0 /
-        #: backup_paths=False — chaos runs stay byte-identical)
+        #: failover and the backup-bandwidth samples engage only at
+        #: redundancy > 0 or backup_paths (chaos runs stay byte-identical)
         self._redundant = bool(self.config.redundancy or self.config.backup_paths)
-        self._ledger = BackupLedger(self._state) if self._redundant else None
+        self._ledger = BackupLedger(self._state)
         self._failovers = 0
         self._replicas_activated = 0
         self._backups_activated = 0
@@ -437,7 +410,7 @@ class ChaosOperator:
     # ------------------------------------------------------------------
     # tenant lifecycle
     # ------------------------------------------------------------------
-    def _admit(self, now: float, tenant: int) -> None:
+    def _admit(self, tenant: int) -> None:
         venv = self.make_venv(tenant, derive(self.seed, "tenant", tenant))
         try:
             mapping = hmn_map(
@@ -449,46 +422,9 @@ class ChaosOperator:
             self._rejected += 1
             return
         self._admitted += 1
-        rec = _Tenant(
-            tenant=tenant,
-            venv=venv,
-            mapping=mapping,
-            admitted_at=now,
-            total_vbw=venv.total_vbw(),
-        )
-        if self._redundant:
-            replicas, backups, disjoint = redundancy_records(mapping)
-            rec.replicas = replicas
-            rec.backups = {
-                key: _Backup(
-                    nodes=nodes,
-                    vbw=venv.vlink(*key).vbw,
-                    risks=risks_of_path(mapping.paths[key]),
-                    disjoint=disjoint.get(key, "link"),
-                )
-                for key, nodes in backups.items()
-            }
-        self._live[tenant] = rec
+        rec = self._live[tenant] = Tenant.admitted(tenant, venv, mapping)
         if self.selfcheck:
             self._validate(rec)
-
-    def _release_redundancy(self, rec: _Tenant) -> set[EdgeKey]:
-        """Drop a departing/shed tenant's replicas and backup
-        reservations; returns the backup edges released (for mask
-        resync)."""
-        released: set[EdgeKey] = set()
-        state = self._state
-        for gid in sorted(rec.replicas):
-            for rid, _host in rec.replicas[gid]:
-                if state.is_placed(rid):
-                    state.unplace(rid)
-        rec.replicas = {}
-        for key in sorted(rec.backups):
-            bk = rec.backups[key]
-            self._ledger.remove(bk.nodes, bk.vbw, bk.risks)
-            released.update(path_edges(bk.nodes))
-        rec.backups = {}
-        return released
 
     def _shed_redundancy(self) -> bool:
         """Graceful degradation, stage one: free capacity by dropping
@@ -500,48 +436,38 @@ class ChaosOperator:
         if with_backups:
             victim = min(with_backups, key=lambda r: (r.backup_vbw, r.tenant))
             shed_bw = self._ledger.total_reserved
-            released: set[EdgeKey] = set()
-            for key in sorted(victim.backups):
-                bk = victim.backups[key]
-                self._ledger.remove(bk.nodes, bk.vbw, bk.risks)
-                released.update(path_edges(bk.nodes))
-            victim.backups = {}
+            released = drop_backups(self._ledger, victim)
             self._backup_bw_shed += shed_bw - self._ledger.total_reserved
             self._resync_released(released)
             return True
         with_replicas = [r for r in self._live.values() if r.replicas]
         if with_replicas:
             victim = min(with_replicas, key=lambda r: (r.replica_count, r.tenant))
-            for gid in sorted(victim.replicas):
-                for rid, _host in victim.replicas[gid]:
-                    if self._state.is_placed(rid):
-                        self._state.unplace(rid)
-            victim.replicas = {}
+            drop_replicas(self._state, victim)
             return True
         return False
 
+    def _remove(self, tenant: int) -> Tenant:
+        """Release a live tenant's whole allocation and re-mask the
+        edges the release exposed."""
+        rec = self._live.pop(tenant)
+        self._resync_released(release(self._state, rec, self._ledger))
+        return rec
+
     def _depart(self, tenant: int) -> None:
-        rec = self._live.pop(tenant, None)
-        if rec is None:
+        if tenant not in self._live:
             # Rejected at arrival, or shed by an earlier repair: a shed
             # tenant stops counting as lost once it would have left.
             self._lost.pop(tenant, None)
             return
-        released = self._release_redundancy(rec) if self._redundant else set()
-        release_tenant(self._state, rec.venv, rec.mapping)
-        released.update(e for p in rec.mapping.paths.values() for e in path_edges(p))
-        self._resync_released(released)
+        self._remove(tenant)
         self._departed += 1
 
     def _shed_tenant(self, tenant: int) -> None:
-        rec = self._live.pop(tenant)
-        released = self._release_redundancy(rec) if self._redundant else set()
-        release_tenant(self._state, rec.venv, rec.mapping)
-        released.update(e for p in rec.mapping.paths.values() for e in path_edges(p))
-        self._resync_released(released)
+        n_guests = self._remove(tenant).venv.n_guests
         self._shed += 1
-        self._shed_guests += rec.venv.n_guests
-        self._lost[tenant] = rec.venv.n_guests
+        self._shed_guests += n_guests
+        self._lost[tenant] = n_guests
 
     # ------------------------------------------------------------------
     # healing
@@ -557,26 +483,27 @@ class ChaosOperator:
     def _affected_by(self, broken_edges: frozenset[EdgeKey]) -> list[int]:
         """Live tenants with a displaced guest, a path through a dead
         node, or a path over a broken edge — in tenant order."""
-        dead_hosts, dead_nodes = self._dead_hosts, self._dead_nodes
-        out = []
-        for t in sorted(self._live):
-            mapping = self._live[t].mapping
-            hit = any(h in dead_hosts for h in mapping.assignments.values())
-            if not hit:
-                for nodes in mapping.paths.values():
-                    if any(n in dead_nodes for n in nodes) or any(
-                        e in broken_edges for e in path_edges(nodes)
-                    ):
-                        hit = True
-                        break
-            if hit:
-                out.append(t)
-        return out
+        return [
+            t
+            for t in sorted(self._live)
+            if any(self._severed(self._live[t], broken_edges))
+        ]
+
+    def _severed(
+        self, rec: Tenant, broken_edges: frozenset[EdgeKey]
+    ) -> tuple[list[int], list[VLinkKey]]:
+        """:func:`repro.tenancy.severed` under the current faults."""
+        return severed(
+            rec.mapping,
+            leaving=self._dead_hosts,
+            dead=self._dead_nodes,
+            broken=broken_edges,
+        )
 
     # ------------------------------------------------------------------
     # fast failover (pre-provisioned redundancy)
     # ------------------------------------------------------------------
-    def _activate_replica(self, rec: _Tenant, guest_id: int) -> NodeId:
+    def _activate_replica(self, rec: Tenant, guest_id: int) -> NodeId:
         """Promote *guest_id*'s first surviving standby: free the
         standby's memory/storage and move the real guest (CPU and all)
         onto its host.  Raises :class:`PlacementError` when no standby
@@ -598,13 +525,13 @@ class ChaosOperator:
             return host
         raise PlacementError(guest_id, "no surviving standby replica")
 
-    def _retire_backup(self, rec: _Tenant, key: VLinkKey) -> None:
+    def _retire_backup(self, rec: Tenant, key: VLinkKey) -> None:
         bk = rec.backups.pop(key, None)
         if bk is not None:
             self._ledger.remove(bk.nodes, bk.vbw, bk.risks)
             self._resync_released(set(path_edges(bk.nodes)))
 
-    def _provision_backup(self, rec: _Tenant, key: VLinkKey, primary) -> None:
+    def _provision_backup(self, rec: Tenant, key: VLinkKey, primary) -> None:
         """Best-effort fresh backup for a (re)routed primary path."""
         if not self.config.backup_paths or len(primary) < 2:
             return
@@ -623,14 +550,12 @@ class ChaosOperator:
         )
         if found is None:
             return
-        nodes, kind = found
+        nodes, _kind = found
         risks = risks_of_path(primary)
         if self._ledger.try_add(nodes, link.vbw, risks):
-            rec.backups[key] = _Backup(
-                nodes=nodes, vbw=link.vbw, risks=risks, disjoint=kind
-            )
+            rec.backups[key] = Backup(nodes, link.vbw, risks)
 
-    def _replenish_replicas(self, rec: _Tenant) -> None:
+    def _replenish_replicas(self, rec: Tenant) -> None:
         """Best-effort top-up back to ``k`` standbys per guest after a
         failover consumed some (anti-affinity rules as at admission)."""
         k = self.config.redundancy
@@ -690,23 +615,14 @@ class ChaosOperator:
         dead_hosts, dead_nodes = self._dead_hosts, self._dead_nodes
         t0 = time.perf_counter()
 
-        displaced = sorted(
-            g for g, h in rec.mapping.assignments.items() if h in dead_hosts
-        )
-        dis_set = set(displaced)
-        to_fix: set[VLinkKey] = set()
+        displaced, touched = self._severed(rec, broken_edges)
+        to_fix = set(touched)
         released: set[EdgeKey] = set()
-        for key, nodes in sorted(rec.mapping.paths.items()):
-            if (
-                key[0] in dis_set
-                or key[1] in dis_set
-                or any(n in dead_nodes for n in nodes)
-                or any(e in broken_edges for e in path_edges(nodes))
-            ):
-                to_fix.add(key)
-                if len(nodes) > 1:
-                    state.release_path(nodes, venv.vlink(*key).vbw)
-                    released.update(path_edges(nodes))
+        for key in touched:
+            nodes = rec.mapping.paths[key]
+            if len(nodes) > 1:
+                state.release_path(nodes, venv.vlink(*key).vbw)
+                released.update(path_edges(nodes))
 
         n_replicas = 0
         for g in displaced:
@@ -836,15 +752,7 @@ class ChaosOperator:
                     },
                 ),
             ),
-            meta={
-                "objective": state.objective(),
-                "resilience": {
-                    "repairs": rec.repairs,
-                    "failover": True,
-                    "displaced": len(displaced),
-                    "rerouted": n_rerouted,
-                },
-            },
+            meta={"objective": state.objective()},
         )
         for key in sorted(fixed):
             self._provision_backup(rec, key, fixed[key])
@@ -923,125 +831,51 @@ class ChaosOperator:
         tenant healed, so a mid-flight failure leaves them untouched
         for the rollback.  Returns (links rerouted, guests re-placed).
         """
-        state, config = self._state, self.config
-        dead_hosts, dead_nodes = self._dead_hosts, self._dead_nodes
+        state, dead_hosts = self._state, self._dead_hosts
+        recs = [self._live[t] for t in affected]
+        healed = evacuate(
+            state,
+            [(rec.venv, rec.mapping) for rec in recs],
+            self.config,
+            leaving=dead_hosts,
+            dead=self._dead_nodes,
+            broken=broken_edges,
+            cache=self._cache,
+            # Releases may have re-exposed masked bandwidth (the broken
+            # paths crossed the very edges being masked); close the gap
+            # before any re-routing sees the inflated residuals.
+            on_released=lambda released: self._resync_released(
+                released | set(broken_edges)
+            ),
+        )
 
-        displaced: dict[int, list[int]] = {}
-        touched: dict[int, list[VLinkKey]] = {}
-        released: set[EdgeKey] = set()
-        for t in affected:
-            rec = self._live[t]
-            dis = sorted(
-                g for g, h in rec.mapping.assignments.items() if h in dead_hosts
-            )
-            dis_set = set(dis)
-            keys = []
-            for key, nodes in sorted(rec.mapping.paths.items()):
-                if (
-                    key[0] in dis_set
-                    or key[1] in dis_set
-                    or any(n in dead_nodes for n in nodes)
-                    or any(e in broken_edges for e in path_edges(nodes))
-                ):
-                    keys.append(key)
-            displaced[t], touched[t] = dis, keys
-            for g in dis:
-                state.unplace(g)
-            for key in keys:
-                nodes = rec.mapping.paths[key]
-                if len(nodes) > 1:
-                    state.release_path(nodes, rec.venv.vlink(*key).vbw)
-                    released.update(path_edges(nodes))
-
-        # Releases may have re-exposed masked bandwidth (the broken
-        # paths crossed the very edges being masked); close the gap
-        # before any re-routing sees the inflated residuals.
-        self._resync_released(released | set(broken_edges))
-
-        n_replaced = n_rerouted = 0
-        new_mappings: dict[int, Mapping] = {}
-        for t in affected:
-            rec = self._live[t]
-            t0 = time.perf_counter()
-            # Evacuation rule: biggest CPU demand first onto the most
-            # idle host that fits (blocked hosts never fit).
-            for gid in sorted(displaced[t], key=lambda g: (-rec.venv.guest(g).vproc, g)):
-                guest = rec.venv.guest(gid)
-                for h in state.cpu.hosts_by_residual_descending():
-                    if state.fits(guest, h):
-                        state.place(guest, h)
-                        break
-                else:
-                    raise PlacementError(
-                        gid, "no surviving host can absorb the displaced guest"
-                    )
-                n_replaced += 1
-
-            reroute = VirtualEnvironment(name=f"{rec.venv.name}-heal")
-            for g in rec.venv.guests():
-                reroute.add_guest(g)
-            for key in touched[t]:
-                reroute.add_vlink(rec.venv.vlink(*key))
-            new_paths, _ = run_networking(state, reroute, config, cache=self._cache)
-            n_rerouted += len(new_paths)
-
-            paths = {
-                key: nodes
-                for key, nodes in rec.mapping.paths.items()
-                if key not in new_paths
-            }
-            paths.update(new_paths)
-            mapper = rec.mapping.mapper
-            if not mapper.endswith("+heal"):
-                mapper = f"{mapper}+heal" if mapper else "heal"
-            new_mappings[t] = Mapping(
-                assignments={g.id: state.host_of(g.id) for g in rec.venv.guests()},
-                paths=paths,
-                mapper=mapper,
-                stages=(
-                    StageReport(
-                        "heal",
-                        time.perf_counter() - t0,
-                        {"replaced": len(displaced[t]), "rerouted": len(touched[t])},
-                    ),
-                ),
-                meta={
-                    "objective": state.objective(),
-                    "resilience": {
-                        "repairs": rec.repairs + 1,
-                        "displaced": len(displaced[t]),
-                        "rerouted": len(touched[t]),
-                    },
-                },
-            )
-
-        for t, mapping in new_mappings.items():
-            rec = self._live[t]
-            rec.mapping = mapping
-            rec.repairs += 1
-            if self._redundant:
-                # A healed primary invalidates the shared-risk keys its
-                # backup was admitted under; retire and re-provision
-                # against the new path (best-effort).
-                for key in touched[t]:
-                    self._retire_backup(rec, key)
-                    self._provision_backup(rec, key, mapping.paths[key])
-                for g in displaced[t]:
-                    # Replicas the fault spent (dead host) or that now
-                    # collide with the guest's new primary are stale.
-                    stale = [
-                        rh for rh in rec.replicas.get(g, [])
-                        if rh[1] in dead_hosts or rh[1] == state.host_of(g)
-                    ]
-                    for rid, host in stale:
-                        if state.is_placed(rid):
-                            state.unplace(rid)
-                        rec.replicas[g].remove((rid, host))
-                    if not rec.replicas.get(g):
-                        rec.replicas.pop(g, None)
+        for rec, done in zip(recs, healed):
+            rec.mapping = done.mapping
+            # A healed primary invalidates the shared-risk keys its
+            # backup was admitted under; retire and re-provision
+            # against the new path (best-effort).
+            for key in done.rerouted:
+                self._retire_backup(rec, key)
+                self._provision_backup(rec, key, done.mapping.paths[key])
+            for g in done.displaced:
+                # Replicas the fault spent (dead host) or that now
+                # collide with the guest's new primary are stale.
+                stale = [
+                    rh for rh in rec.replicas.get(g, [])
+                    if rh[1] in dead_hosts or rh[1] == state.host_of(g)
+                ]
+                for rid, host in stale:
+                    if state.is_placed(rid):
+                        state.unplace(rid)
+                    rec.replicas[g].remove((rid, host))
+                if not rec.replicas.get(g):
+                    rec.replicas.pop(g, None)
             if self.selfcheck:
                 self._validate(rec)
-        return n_rerouted, n_replaced
+        return (
+            sum(len(done.rerouted) for done in healed),
+            sum(len(done.displaced) for done in healed),
+        )
 
     def _heal(
         self, now: float, trigger: str, target: object, broken_edges: frozenset[EdgeKey]
@@ -1056,9 +890,10 @@ class ChaosOperator:
         attempts = 0
         rec = obs.OBS
         with rec.span("chaos.repair", trigger=trigger, target=repr(target), time=now) as sp:
-            riders: list = [(lambda: dict(self._masks), self._restore_masks)]
-            if self._redundant:
-                riders.append((self._ledger.snapshot, self._ledger.restore))
+            riders = (
+                (lambda: dict(self._masks), self._restore_masks),
+                (self._ledger.snapshot, self._ledger.restore),
+            )
             while True:
                 attempts += 1
                 try:
@@ -1085,7 +920,7 @@ class ChaosOperator:
                     # reservations, then its standby replicas, and only
                     # then whole tenants (smallest aggregate vbw,
                     # lowest tenant id on ties — fully deterministic).
-                    if self._redundant and self._shed_redundancy():
+                    if self._shed_redundancy():
                         continue
                     candidates = sorted(
                         self._live.values(), key=lambda r: (r.total_vbw, r.tenant)
@@ -1134,7 +969,7 @@ class ChaosOperator:
     # ------------------------------------------------------------------
     # selfcheck
     # ------------------------------------------------------------------
-    def _validate(self, rec: _Tenant) -> None:
+    def _validate(self, rec: Tenant) -> None:
         """Eqs. 1-9 plus the health invariants for one live tenant."""
         validate_mapping(self.cluster, rec.venv, rec.mapping)
         self._validations += 1
@@ -1178,7 +1013,7 @@ class ChaosOperator:
     def _apply(self, event: FaultEvent) -> None:
         kind, target, now = event.kind, event.target, event.time
         if kind == "tenant_arrive":
-            self._admit(now, target)
+            self._admit(target)
         elif kind == "tenant_depart":
             self._depart(target)
         elif kind == "host_crash":
@@ -1263,7 +1098,7 @@ class ChaosOperator:
                 replicas_activated=self._replicas_activated,
                 backups_activated=self._backups_activated,
                 backup_bw_shed=self._backup_bw_shed
-                + (self._ledger.degraded_bw if self._redundant else 0.0),
+                + self._ledger.degraded_bw,
             )
             if rec.enabled:
                 sp.set(

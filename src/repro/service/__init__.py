@@ -21,8 +21,10 @@ service:
   count;
 * :mod:`~repro.service.replay` — :func:`replay_admissions` /
   :func:`replay_through`, deterministic batch drivers over the same
-  decision path (the successors of the deprecated
-  ``extensions.admission.simulate_admissions``).
+  decision path.
+
+Tenants are :class:`~repro.tenancy.Tenant` records and leave through
+:func:`repro.tenancy.release`, shared with the chaos operator.
 
 Typical use::
 
@@ -41,7 +43,7 @@ import threading
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.service.core import ServiceCore, release_tenant
+from repro.service.core import ServiceCore
 from repro.service.replay import replay_admissions, replay_through
 from repro.service.service import AdmissionQueue, MappingService, ServiceHandle
 from repro.service.store import ExperimentStore, Persistent, STORE_FORMAT
@@ -64,7 +66,6 @@ __all__ = [
     "ExperimentStore",
     "Persistent",
     "STORE_FORMAT",
-    "release_tenant",
     "replay_admissions",
     "replay_through",
     "open_service",

@@ -8,9 +8,13 @@ property checkable at all: a live closed-loop run and a batch replay of
 the same arrival sequence execute byte-identical admission code.
 
 Every admission is a :func:`~repro.resilience.transactions.joint_transaction`
-over the shared :class:`~repro.core.state.ClusterState` — the same
+over the shared :class:`~repro.core.state.ClusterState`, with the shared
+:class:`~repro.redundancy.ledger.BackupLedger` riding along — the same
 snapshot/rollback discipline the chaos operator repairs under — so a
 failed or crashed attempt leaves no placements or reservations behind.
+Live tenants are :class:`~repro.tenancy.Tenant` records and leave
+through :func:`repro.tenancy.release`, the chaos operator's release
+too, which frees standby replicas and backup paths with the primaries.
 Commits append ``request``/``decision``/``mapping`` records to the
 :class:`~repro.service.store.ExperimentStore`; restarts *replay* that
 log through this same code path (:meth:`ServiceCore.resume`), verifying
@@ -22,18 +26,17 @@ from __future__ import annotations
 
 import bisect
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro import obs
 from repro.core.cluster import PhysicalCluster
 from repro.core.mapping import Mapping
 from repro.core.state import ClusterState
-from repro.core.venv import VirtualEnvironment
 from repro.errors import MappingError, StoreError
 from repro.hmn.config import HMNConfig
 from repro.hmn.pipeline import hmn_map
 from repro.io import cluster_from_dict, cluster_to_dict
+from repro.redundancy.ledger import BackupLedger
 from repro.resilience.transactions import joint_transaction
 from repro.routing.cache import RoutingCache
 from repro.service.store import (
@@ -48,57 +51,15 @@ from repro.service.store import (
     venv_of_request,
 )
 from repro.service.types import AdmissionDecision, MapRequest
+from repro.tenancy import Tenant, release
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import MetricsRegistry
 
-__all__ = ["ServiceCore", "release_tenant"]
+__all__ = ["ServiceCore"]
 
 #: SLO quantiles surfaced as gauges (exact, from the raw latency list).
 SLO_QUANTILES = (0.5, 0.99)
-
-
-def release_tenant(
-    state: ClusterState,
-    venv: VirtualEnvironment,
-    mapping: Mapping,
-    *,
-    cache: RoutingCache | None = None,
-) -> None:
-    """Return a departed tenant's allocations to the shared *state*.
-
-    Unplaces every guest of *venv* and releases the bandwidth of every
-    multi-node path in *mapping* — the inverse of admitting the tenant
-    with ``hmn_map(..., state=state)``.  Shared by the admission
-    service and the chaos operator (:mod:`repro.resilience`), which
-    must agree exactly on what departure means for the residual tables.
-
-    When the admitting :class:`RoutingCache` is passed, its memo is
-    pruned down to the post-release epoch.  This is hygiene, not
-    correctness: epoch tokens are globally unique and never reused, so
-    a stale entry can never be *served* after the release bumps the
-    epoch — but in a long-lived service the dead entries accumulate
-    (one epoch retired per departure) and crowd live entries out of the
-    cache's ``max_paths`` budget.  One-shot callers (the chaos
-    operator's masking dance re-reserves on the same edges constantly)
-    may keep passing no cache, exactly as before.
-    """
-    for guest in venv.guests():
-        state.unplace(guest.id)
-    for key, nodes in mapping.paths.items():
-        if len(nodes) > 1:
-            state.release_path(nodes, venv.vlink(*key).vbw)
-    if cache is not None:
-        cache.drop_stale(state.bw_epoch)
-
-
-@dataclass
-class _LiveTenant:
-    """One live tenancy: what release needs to undo it."""
-
-    request_id: int
-    venv: VirtualEnvironment
-    mapping: Mapping
 
 
 class ServiceCore:
@@ -136,7 +97,9 @@ class ServiceCore:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.state = ClusterState(cluster)
         self.cache = RoutingCache(cluster, engine=self.config.engine)
-        self._live: dict[Any, _LiveTenant] = {}
+        #: backup paths of every live tenant, risk-multiplexed
+        self.ledger = BackupLedger(self.state)
+        self._live: dict[Any, Tenant] = {}
         self.accepted = 0
         self.rejected = 0
         self._next_request_id = 0
@@ -341,13 +304,16 @@ class ServiceCore:
                 # hmn_map is itself transactional on shared states for
                 # MappingErrors; the joint transaction extends that to
                 # *any* failure leaking out of the pipeline.
-                with joint_transaction(self.state):
+                with joint_transaction(
+                    self.state, (self.ledger.snapshot, self.ledger.restore)
+                ):
                     mapping = hmn_map(
                         self.cluster,
                         request.venv,
                         config,
                         state=self.state,
                         cache=self.cache,
+                        backup_ledger=self.ledger,
                     )
             except MappingError as exc:
                 decision = AdmissionDecision(
@@ -359,8 +325,8 @@ class ServiceCore:
                     failure=type(exc).__name__,
                 )
             else:
-                self._live[request.tenant] = _LiveTenant(
-                    request_id=rid, venv=request.venv, mapping=mapping
+                self._live[request.tenant] = Tenant.admitted(
+                    request.tenant, request.venv, mapping, request_id=rid
                 )
                 decision = AdmissionDecision(
                     request_id=rid,
@@ -404,13 +370,15 @@ class ServiceCore:
         self.rejected += 1
 
     def release(self, tenant) -> bool:
-        """Depart *tenant*: return its allocations, prune the routing
-        memo to the new epoch, log the release.  ``False`` (and no
-        state change) when the tenant is not live."""
+        """Depart *tenant*: free its whole allocation — primaries,
+        primary paths, standby replicas and ledger backups
+        (:func:`repro.tenancy.release`) — prune the routing memo to the
+        new epoch, log the release.  ``False`` (and no state change)
+        when the tenant is not live."""
         live = self._live.pop(tenant, None)
         if live is None:
             return False
-        release_tenant(self.state, live.venv, live.mapping, cache=self.cache)
+        release(self.state, live, self.ledger, cache=self.cache)
         if self.store is not None and not self._replaying:
             self.store.append(ReleaseRecord(tenant=tenant))
         self.metrics.gauge("repro_service_tenants_live").set(len(self._live))

@@ -285,9 +285,15 @@ def shard_map(
                 # Rescue crosses pod boundaries, so it always runs in
                 # the parent — its placements land in ``pod.placed``
                 # *after* the pod's own, which is exactly the order the
-                # migration tasks replay.
-                if failures:
-                    rescue = [venv.guest(g) for g in sorted(set(failures))]
+                # migration tasks replay.  A guest that failed one
+                # pair but was placed later in the same pod is not
+                # homeless: rescue only guests no pod holds.
+                homeless = {
+                    g for g in failures
+                    if not any(g in pod.placed for pod in pod_states)
+                }
+                if homeless:
+                    rescue = [venv.guest(g) for g in sorted(homeless)]
                     rescue.sort(key=lambda g: (-g.vproc, g.id))
                     for guest in rescue:
                         by_room = sorted(

@@ -77,7 +77,6 @@ class TestSurface:
     def test_deep_imports_keep_working(self):
         from repro.analysis.runner import run_grid  # noqa: F401
         from repro.hmn.pipeline import hmn_map  # noqa: F401
-        from repro.io import load_json, save_json  # noqa: F401
 
     def test_config_error_is_a_model_error(self):
         assert issubclass(ConfigError, ModelError)
@@ -124,7 +123,7 @@ class TestMapVirtualEnv:
 class TestRunGrid:
     def test_matches_deprecated_entry_point(self):
         from repro.analysis import records_to_dicts
-        from repro.analysis.runner import _run_grid
+        from repro.analysis.runner import run_grid as deep_run_grid
 
         scenarios = [Scenario(ratio=2.5, density=0.05, workload=HIGH_LEVEL)]
 
@@ -133,7 +132,7 @@ class TestRunGrid:
 
         kwargs = dict(reps=2, base_seed=3, simulate=False)
         facade = api.run_grid(clusters, scenarios, ["hmn"], **kwargs)
-        deep = _run_grid(clusters, scenarios, ["hmn"], **kwargs)
+        deep = deep_run_grid(clusters, scenarios, ["hmn"], **kwargs)
 
         def rows(records):
             out = records_to_dicts(records)
@@ -239,10 +238,7 @@ class TestPersistence:
         with pytest.raises(ModelError, match="mapping"):
             api.load_mapping(path)
 
-    def test_facade_save_does_not_warn(self, cluster, tmp_path, monkeypatch):
-        from repro import io as repro_io
-
-        monkeypatch.setattr(repro_io, "_warned", set())
+    def test_facade_save_does_not_warn(self, cluster, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             path = api.save(cluster, tmp_path / "c.json")
@@ -250,45 +246,20 @@ class TestPersistence:
 
 
 # ----------------------------------------------------------------------
-# deprecation shims
+# retired shims
 # ----------------------------------------------------------------------
 
 
 class TestDeprecations:
-    def test_io_save_json_warns_once_per_process(self, cluster, tmp_path, monkeypatch):
+    def test_deprecated_helpers_delegate_to_same_implementation(self):
+        """The pre-facade spellings are gone: ``repro.io`` has no
+        ``save_json``/``load_json``, and every ``run_grid`` spelling is
+        the runner's one function, re-exported rather than wrapped."""
+        from repro import analysis
         from repro import io as repro_io
-
-        monkeypatch.setattr(repro_io, "_warned", set())
-        with pytest.warns(DeprecationWarning, match="repro.api.save"):
-            path = repro_io.save_json(cluster, tmp_path / "c.json")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            repro_io.save_json(cluster, tmp_path / "c2.json")  # second call: silent
-        with pytest.warns(DeprecationWarning, match="repro.api.load_cluster"):
-            repro_io.load_json(path)
-
-    def test_runner_run_grid_warns_once_per_process(self, monkeypatch):
         from repro.analysis import runner
 
-        monkeypatch.setattr(runner, "_run_grid_warned", False)
-        scenarios = [Scenario(ratio=2.5, density=0.05, workload=HIGH_LEVEL)]
-
-        def clusters(seed):
-            return {"torus": torus_cluster(2, 4, seed=seed)}
-
-        with pytest.warns(DeprecationWarning, match="repro.api.run_grid"):
-            runner.run_grid(clusters, scenarios, ["hmn"], reps=1, simulate=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            runner.run_grid(clusters, scenarios, ["hmn"], reps=1, simulate=False)
-
-    def test_deprecated_helpers_delegate_to_same_implementation(
-        self, cluster, tmp_path
-    ):
-        from repro import io as repro_io
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = repro_io.save_json(cluster, tmp_path / "old.json")
-        new = api.save(cluster, tmp_path / "new.json")
-        assert old.read_text() == new.read_text()
+        assert not hasattr(repro_io, "save_json")
+        assert not hasattr(repro_io, "load_json")
+        assert api.run_grid is runner.run_grid
+        assert analysis.run_grid is runner.run_grid

@@ -231,6 +231,31 @@ class TestPortfolioArm:
         }
 
 
+class TestTenancyArm:
+    """The admit-then-release round trip through the service and the
+    chaos operator."""
+
+    ARM = dict(runner_grids=0, shard_seeds=0, redundant_seeds=0, portfolio_seeds=0)
+
+    def test_tenancy_arm_smoke(self):
+        report = run_fuzz(0, tenancy_seeds=8, **self.ARM)
+        assert report.ok, [str(d) for d in report.divergences]
+        assert report.n_tenancy == 8
+
+    def test_release_skipping_replicas_detected(self, monkeypatch):
+        """A release that forgets standby replicas must leave guests
+        placed, and the service and chaos round trips must both report it."""
+        import repro.tenancy as tenancy_mod
+
+        monkeypatch.setattr(tenancy_mod, "drop_replicas", lambda state, rec: None)
+        report = run_fuzz(0, tenancy_seeds=8, **self.ARM)
+        checks = {d.check for d in report.divergences}
+        assert checks == {"tenancy-service-roundtrip", "tenancy-chaos-roundtrip"}
+        offender = report.divergences[0]
+        assert "still placed" in offender.detail
+        assert {"cluster", "venvs", "config"} <= set(offender.artifact)
+
+
 class TestExactCrossCheck:
     def test_exact_placement_only_skips_routing(self):
         from repro.extensions.exact import exact_map

@@ -190,7 +190,7 @@ class TestCacheCorrectness:
 
 
 class TestDropStale:
-    """Satellite of the admission service: ``release_tenant`` prunes the
+    """Satellite of the admission service: ``repro.tenancy.release`` prunes the
     cache so a long-lived service doesn't accumulate one dead epoch of
     memos per departure.  Safety never depended on this — epoch tokens
     are globally unique and never reused, so a stale entry cannot be

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -378,3 +379,182 @@ class TestReplayEntryPoint:
         assert r.rejected == sum(not d.admitted for d in r.decisions)
         assert 0.0 <= r.acceptance_ratio <= 1.0
         assert not math.isnan(r.mean_memory_utilization)
+
+
+# ----------------------------------------------------------------------
+# admission replays and the transactional shared state they rely on
+# ----------------------------------------------------------------------
+def make_small(i, rng):
+    n = int(rng.integers(20, 50))
+    return generate_virtual_environment(
+        n, workload=LOW_LEVEL, density=0.05,
+        seed=int(rng.integers(2**31 - 1)), id_offset=i * 100_000,
+    )
+
+
+def make_big(i, rng):
+    n = int(rng.integers(150, 250))
+    return generate_virtual_environment(
+        n, workload=LOW_LEVEL, density=0.05,
+        seed=int(rng.integers(2**31 - 1)), id_offset=i * 100_000,
+    )
+
+
+def replay(cluster, make, *, n_tenants, mean_lifetime=5.0, seed=None):
+    return replay_admissions(
+        cluster,
+        make_venv=make,
+        config=AdmissionConfig(
+            n_tenants=n_tenants, mean_lifetime=mean_lifetime, seed=seed
+        ),
+    )
+
+
+class TestTransactionalSharedState:
+    def test_failed_mapping_leaves_shared_state_untouched(self, cluster):
+        from repro.core import ClusterState, Guest, VirtualEnvironment, VirtualLink
+        from repro.errors import MappingError
+        from repro.hmn import hmn_map
+
+        state = ClusterState(cluster)
+        first = generate_virtual_environment(
+            100, workload=LOW_LEVEL, density=0.05, seed=1, id_offset=0
+        )
+        hmn_map(cluster, first, state=state)
+        placed_before = state.n_placed
+        bw_before = dict(state.bw_table)
+        objective_before = state.objective()
+
+        # An impossible tenant: more memory than the whole cluster.
+        impossible = VirtualEnvironment()
+        for i in range(50):
+            impossible.add_guest(Guest(10_000 + i, vproc=10.0, vmem=3073, vstor=10.0))
+        impossible.add_vlink(VirtualLink(10_000, 10_001, vbw=0.1, vlat=50.0))
+        with pytest.raises(MappingError):
+            hmn_map(cluster, impossible, state=state)
+
+        assert state.n_placed == placed_before
+        assert dict(state.bw_table) == bw_before
+        assert state.objective() == pytest.approx(objective_before)
+
+    def test_restore_from_other_cluster_rejected(self, cluster):
+        from repro.core import ClusterState
+
+        other = paper_clusters(seed=999)["torus"]
+        with pytest.raises(ModelError):
+            ClusterState(cluster).restore_from(ClusterState(other))
+
+    def test_restore_preserves_live_reference(self, cluster):
+        from repro.core import ClusterState
+        from repro.hmn import hmn_map
+
+        state = ClusterState(cluster)
+        snap = state.copy()
+        venv = generate_virtual_environment(
+            50, workload=LOW_LEVEL, density=0.05, seed=2
+        )
+        hmn_map(cluster, venv, state=state)
+        state.restore_from(snap)
+        assert state.n_placed == 0
+        # the same object keeps working after restore
+        hmn_map(cluster, venv, state=state)
+        assert state.n_placed == 50
+
+
+class TestAdmissionSimulation:
+    def test_light_load_accepts_everyone(self, cluster):
+        result = replay(cluster, make_small, n_tenants=15, mean_lifetime=2.0, seed=7)
+        assert result.acceptance_ratio == 1.0
+        assert result.rejected == 0
+        assert len(result.decisions) == 15
+        assert all(d.admitted for d in result.decisions)
+
+    def test_heavy_load_rejects_some(self, cluster):
+        result = replay(cluster, make_big, n_tenants=25, mean_lifetime=15.0, seed=7)
+        assert result.rejected > 0
+        assert 0.0 < result.acceptance_ratio < 1.0
+        rejected = [d for d in result.decisions if not d.admitted]
+        assert all(d.failure for d in rejected)
+
+    def test_acceptance_monotone_in_lifetime(self, cluster):
+        ratios = [
+            replay(
+                cluster, make_big, n_tenants=25, mean_lifetime=lifetime, seed=7
+            ).acceptance_ratio
+            for lifetime in (2.0, 8.0, 20.0)
+        ]
+        assert ratios[0] >= ratios[-1]
+
+    def test_deterministic(self, cluster):
+        a = replay(cluster, make_small, n_tenants=20, mean_lifetime=5.0, seed=11)
+        b = replay(cluster, make_small, n_tenants=20, mean_lifetime=5.0, seed=11)
+        assert a.decisions == b.decisions
+
+    def test_validation(self, cluster):
+        with pytest.raises(ModelError):
+            replay(cluster, make_small, n_tenants=0)
+        with pytest.raises(ModelError):
+            replay(cluster, make_small, n_tenants=1, mean_lifetime=0.0)
+
+    def test_departures_free_capacity(self, cluster):
+        """With lifetime 1 every tenant departs before the next arrives:
+        even big tenants must all be admitted."""
+        result = replay(cluster, make_big, n_tenants=10, mean_lifetime=1.0, seed=3)
+        assert result.acceptance_ratio == 1.0
+        assert result.peak_concurrent_tenants <= 1
+
+
+@dataclass(frozen=True, slots=True)
+class TenantEvent:
+    """The per-tenant trace row the pinned digests were computed over."""
+
+    tenant: int
+    arrived_at: int
+    admitted: bool
+    n_guests: int
+    departed_at: int | None = None
+    failure: str = ""
+
+
+class TestPinnedTraces:
+    """Admission traces are byte-identical to those of the original
+    tuple-loop implementation (digests captured before the service
+    existed), rebuilt here in that implementation's row shape."""
+
+    # sha256(repr((events, accepted, rejected, mean_mem_util, peak)))
+    PINNED = {
+        "small": "f77ad9d4eb5d81b0f1d53ff496839f3adc05173426b04be0c52d1cbf58aed674",
+        "big": "92b2adee546667ddd467c4276127325fc6c7a74e7db7095b97db5ed1491c2b84",
+    }
+
+    @staticmethod
+    def _digest(report) -> str:
+        import hashlib
+
+        events = tuple(
+            TenantEvent(
+                tenant=d.tenant,
+                arrived_at=d.arrived_at,
+                admitted=d.admitted,
+                n_guests=d.n_guests,
+                departed_at=d.departed_at,
+                failure=d.failure,
+            )
+            for d in report.decisions
+        )
+        blob = repr((
+            events,
+            report.accepted,
+            report.rejected,
+            report.mean_memory_utilization,
+            report.peak_concurrent_tenants,
+        ))
+        return hashlib.sha256(blob.encode()).hexdigest()
+
+    def test_trace_byte_identical_to_pre_refactor_small(self, cluster):
+        result = replay(cluster, make_small, n_tenants=20, mean_lifetime=5.0, seed=11)
+        assert self._digest(result) == self.PINNED["small"]
+
+    def test_trace_byte_identical_to_pre_refactor_big(self, cluster):
+        result = replay(cluster, make_big, n_tenants=25, mean_lifetime=15.0, seed=7)
+        assert self._digest(result) == self.PINNED["big"]

@@ -233,3 +233,33 @@ class TestResume:
         after = path.read_text()
         assert after.startswith(before), "resume must never rewrite history"
         assert "late" in after[len(before):]
+
+    def test_resume_replays_redundant_tenants(self, cluster, tmp_path):
+        """Requests carrying their own ``HMNConfig(redundancy=1,
+        backup_paths=True)`` replay without a StoreError, and the resumed
+        state holds the same placements (standby replicas included) and
+        the same backup-ledger reservations as the original."""
+        path = tmp_path / "s.jsonl"
+        red = HMNConfig(redundancy=1, backup_paths=True)
+        core = ServiceCore.open(cluster, path)
+        for i in range(5):
+            decision = core.admit(MapRequest(tenant=i, venv=venv_for(i), config=red))
+            assert decision.admitted
+        core.release(1)
+        core.release(3)
+        core.admit(MapRequest(tenant=7, venv=venv_for(7), config=red))
+        core.close()
+        assert any(g < 0 for g in core.state.assignments), "no standby replicas"
+        assert core.ledger.total_reserved > 0, "no backup reservations"
+
+        resumed = ServiceCore.resume(cluster, path)
+        assert resumed.state.assignments == core.state.assignments
+        for e in cluster.link_keys:
+            assert resumed.ledger.reserved_on(e) == core.ledger.reserved_on(e)
+            assert resumed.state.residual_bw(*e) == core.state.residual_bw(*e)
+        for t, mapping in core.live_tenants.items():
+            again = resumed.live_tenants[t]
+            assert again.assignments == mapping.assignments
+            assert again.paths == mapping.paths
+            assert again.meta["redundancy"] == mapping.meta["redundancy"]
+        resumed.close()

@@ -191,6 +191,18 @@ class TestShardedQuality:
         report = validate_mapping(cluster, venv, mapping, raise_on_error=False)
         assert report.ok, str(report)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_guest_failed_then_placed_in_pod_is_not_rescued(self, workers):
+        """Guest 0 fails one pair in its pod, is placed later in the same
+        pod, and must not be placed a second time by the overflow rescue
+        (it used to raise ModelError 'guest 0 is already placed')."""
+        cluster = torus_cluster(3, 4, seed=6)
+        venv = generate_virtual_environment(26, workload=HIGH_LEVEL, seed=2)
+        config = HMNConfig(shard_workers=workers)
+        mapping = shard_map(cluster, venv, config, n_pods=4)
+        validate_mapping(cluster, venv, mapping)
+        assert mapping.meta["shard"]["n_workers"] == workers
+
     def test_shared_state_restored_on_failure(self):
         cluster = switched_cluster(6, seed=2)
         venv = generate_virtual_environment(400, seed=2)  # hopeless overload
