@@ -23,7 +23,8 @@ import pytest
 from _config import BASE_SEED, FULL, REPS, publish
 from repro.analysis import figure1_series, render_figure1
 from repro.api import run_grid
-from repro.hmn import HMNConfig, hmn_map
+from repro.conformance.reference import ReferenceRoutingCache
+from repro.hmn import hmn_map
 from repro.workload import HIGH_LEVEL, LOW_LEVEL, Scenario, paper_clusters
 
 #: x-axis of the figure: scenarios with growing virtual-link counts.
@@ -75,10 +76,11 @@ def test_render_figure1_series(benchmark):
 
 
 def test_figure1_engine_speedup(benchmark):
-    """Largest paper instance (50:1 torus, ~20k vlinks): the compiled
-    engine must produce the byte-identical mapping at >=3x the speed of
-    the dict engine when the C hot loop is available (pure-Python
-    fallback is still faster, but modestly)."""
+    """Largest paper instance (50:1 torus, ~20k vlinks): the production
+    route path (index-space kernels) must produce the byte-identical
+    mapping at >=3x the speed of the dict-space reference routers
+    (a fresh :class:`ReferenceRoutingCache`) when the C hot loop is
+    available (pure-Python fallback is still faster, but modestly)."""
     import time
 
     from repro.routing._cbuild import load_kernel
@@ -87,14 +89,14 @@ def test_figure1_engine_speedup(benchmark):
     cluster, venv = _instance(scenario, "torus")
 
     t0 = time.perf_counter()
-    dict_mapping = hmn_map(cluster, venv, HMNConfig(engine="dict"))
+    dict_mapping = hmn_map(cluster, venv, cache=ReferenceRoutingCache(cluster))
     dict_seconds = time.perf_counter() - t0
 
     compiled_seconds = {}
 
     def run_compiled():
         t0 = time.perf_counter()
-        m = hmn_map(cluster, venv, HMNConfig(engine="compiled"))
+        m = hmn_map(cluster, venv)
         compiled_seconds["s"] = time.perf_counter() - t0
         return m
 

@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
-"""Performance-regression smoke check for the routing engines.
+"""Performance-regression smoke check for the production and reference routers.
 
-Runs two small, deterministic workloads per engine and compares their
-*normalized* cost against the committed baselines:
+Runs two small, deterministic workloads per route cache and compares
+their *normalized* cost against the committed baselines.  The
+``compiled`` arm is the production :class:`~repro.routing.cache.RoutingCache`
+(index-space kernels); the ``dict`` arm is
+:class:`~repro.conformance.reference.ReferenceRoutingCache` (the
+dict-space reference routers), built fresh for every repetition:
 
 ``routing``
     50 Algorithm 1 queries on the paper torus through a fresh
@@ -26,7 +30,7 @@ on very different hardware.
 Usage::
 
     PYTHONPATH=src python benchmarks/smoke.py --write            # seed baselines
-    PYTHONPATH=src python benchmarks/smoke.py --check            # both engines
+    PYTHONPATH=src python benchmarks/smoke.py --check            # both caches
     PYTHONPATH=src python benchmarks/smoke.py --check --engine compiled
     PYTHONPATH=src python benchmarks/smoke.py --trace-smoke      # span-schema CI gate
 """
@@ -45,15 +49,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
+from repro.conformance.reference import ReferenceRoutingCache  # noqa: E402
 from repro.core import ClusterState  # noqa: E402
-from repro.hmn import HMNConfig, hmn_map  # noqa: E402
+from repro.hmn import hmn_map  # noqa: E402
 from repro.routing import RoutingCache  # noqa: E402
 from repro.topology import paper_torus  # noqa: E402
 from repro.workload import HIGH_LEVEL, Scenario, paper_clusters  # noqa: E402
 
 BENCH_DIR = Path(__file__).resolve().parent
 BASE_SEED = 2009
-ENGINES = ("dict", "compiled")
+#: ``--engine`` name -> the route cache under test.
+CACHES = {"dict": ReferenceRoutingCache, "compiled": RoutingCache}
+ENGINES = tuple(CACHES)
 BASELINES = {
     "routing": BENCH_DIR / "BENCH_routing.json",
     "figure1": BENCH_DIR / "BENCH_figure1.json",
@@ -97,7 +104,7 @@ def bench_routing(engine: str) -> float:
 
     def run():
         # Fresh cache per rep: measure the kernels, not the path memo.
-        cache = RoutingCache(cluster, engine=engine)
+        cache = CACHES[engine](cluster)
         for a, b in pairs:
             cache.route(state, a, b, bandwidth=0.5, latency_bound=60.0)
 
@@ -109,10 +116,11 @@ def bench_figure1(engine: str) -> float:
     scenario = Scenario(ratio=10, density=0.015, workload=HIGH_LEVEL)
     cluster = paper_clusters(seed=BASE_SEED + 7)["torus"]
     venv = scenario.build_venv(cluster, seed=BASE_SEED + 11)
-    config = HMNConfig(engine=engine)
 
     def run():
-        hmn_map(cluster, venv, config)
+        # Fresh cache per rep: the epoch-0 path memo must not serve
+        # later repetitions.
+        hmn_map(cluster, venv, cache=CACHES[engine](cluster))
 
     run()
     return _best_of(run, 2)
@@ -179,7 +187,7 @@ def check_baselines(engines, tolerance: float) -> int:
     if failures:
         print("\nFAIL: " + "; ".join(failures), file=sys.stderr)
         return 1
-    print("\nall engine benchmarks within tolerance")
+    print("\nall router benchmarks within tolerance")
     return 0
 
 
@@ -198,18 +206,17 @@ def trace_smoke(engines) -> int:
     cluster = paper_clusters(seed=BASE_SEED + 7)["torus"]
     venv = scenario.build_venv(cluster, seed=BASE_SEED + 11)
     failures = []
+    plain = hmn_map(cluster, venv)
     for engine in engines:
-        config = HMNConfig(engine=engine)
-        plain = hmn_map(cluster, venv, config)
         registry = obs.MetricsRegistry()
         with obs.recording(metrics=registry) as tracer:
-            traced = hmn_map(cluster, venv, config)
+            traced = hmn_map(cluster, venv, cache=CACHES[engine](cluster))
         if (
             plain.assignments != traced.assignments
             or plain.paths != traced.paths
             or plain.meta["objective"] != traced.meta["objective"]
         ):
-            failures.append(f"{engine}: traced mapping differs from untraced")
+            failures.append(f"{engine}: traced mapping differs from untraced default")
         path = Path(tempfile.mkstemp(suffix=".jsonl")[1])
         try:
             tracer.write(path)
@@ -248,7 +255,9 @@ def main(argv=None) -> int:
         help="validate a traced figure-1 run against the span schema",
     )
     parser.add_argument(
-        "--engine", choices=ENGINES, help="restrict to one engine (default: both)"
+        "--engine", choices=ENGINES,
+        help="restrict to one route cache: dict (reference) or compiled "
+             "(production); default both",
     )
     args = parser.parse_args(argv)
     engines = (args.engine,) if args.engine else ENGINES

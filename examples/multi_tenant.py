@@ -16,14 +16,14 @@ from __future__ import annotations
 from repro.core import ClusterState, validate_mapping
 from repro.errors import MappingError
 from repro.api import map_virtual_env
-from repro.routing import LatencyOracle
+from repro.routing import RoutingCache
 from repro.workload import HIGH_LEVEL, LOW_LEVEL, generate_virtual_environment, paper_clusters
 
 
 def main() -> None:
     cluster = paper_clusters(seed=17)["torus"]
     state = ClusterState(cluster)  # shared, lives across tenants
-    oracle = LatencyOracle(cluster)  # topology-only, shared too
+    cache = RoutingCache(cluster)  # latency labels + path memo, shared too
     print(f"Shared testbed: {cluster}\n")
 
     tenants = [
@@ -38,7 +38,7 @@ def main() -> None:
     mappings = {}
     for name, venv in tenants:
         try:
-            mapping = map_virtual_env(cluster, venv, state=state, oracle=oracle)
+            mapping = map_virtual_env(cluster, venv, state=state, cache=cache)
         except MappingError as exc:
             print(f"{name:<12} REJECTED — {type(exc).__name__}: not enough residual capacity")
             continue
@@ -67,7 +67,7 @@ def main() -> None:
     dave = generate_virtual_environment(
         300, workload=LOW_LEVEL, density=0.01, seed=4, id_offset=30_000
     )
-    mapping = map_virtual_env(cluster, dave, state=state, oracle=oracle)
+    mapping = map_virtual_env(cluster, dave, state=state, cache=cache)
     validate_mapping(cluster, dave, mapping)
     print(f"dave/p2p     admitted into the freed capacity: {dave.n_guests} guests, "
           f"objective {state.objective():.1f}")

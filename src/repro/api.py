@@ -150,7 +150,7 @@ def map_virtual_env(
     keyword-only and may be a plain dict (round-tripped through
     :meth:`HMNConfig.from_dict`, so the CLI and config files can pass
     JSON straight in); remaining keyword arguments (``state``,
-    ``oracle``, ``cache``) are forwarded unchanged.  Returns the same
+    ``cache``, ``backup_ledger``) are forwarded unchanged.  Returns the same
     byte-identical :class:`Mapping` as the deep import.
     """
     if config is not None and not isinstance(config, HMNConfig):

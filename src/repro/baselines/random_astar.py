@@ -49,19 +49,15 @@ def random_astar_map(
     seed: int | np.random.Generator | None = None,
     max_tries: int = DEFAULT_MAX_TRIES,
     max_route_expansions: int = 2_000_000,
-    engine: str = "compiled",
 ) -> Mapping:
     """Map *venv* onto *cluster* with the paper's RA baseline.
-
-    *engine* selects the route-kernel implementation (see
-    :data:`repro.hmn.config.Engine`); results are engine-independent.
 
     Raises :class:`~repro.errors.RetriesExhaustedError` when every
     placement draw leads to an unroutable link.
     """
     rng = rng_from(seed)
     # Labels + path memo; shared across tries.
-    cache = RoutingCache(cluster, engine=engine)
+    cache = RoutingCache(cluster)
     links = sorted(venv.vlinks(), key=lambda e: (-e.vbw, e.key))
     t0 = time.perf_counter()
     failures = 0
@@ -112,7 +108,6 @@ def random_astar_map(
                     "random+astar_s": elapsed,
                     "total_s": elapsed,
                     "cache_hit_rate": cache.hit_rate,
-                    "engine": engine,
                     "route_kernel_s": cache.kernel_seconds,
                 },
             },

@@ -30,7 +30,7 @@ Commands mirror an emulator operator's workflow:
 ``conformance``
     Correctness tooling: ``verify`` recomputes the golden corpus and
     compares against the committed digests, ``fuzz`` runs the seeded
-    differential harness (dict vs compiled engine, serial vs parallel
+    differential harness (reference vs production routers, serial vs parallel
     runner, exact solver on tiny instances), ``regen`` refreshes
     ``GOLDEN.json`` after an intentional behavior change.
 ``mappers``
@@ -123,9 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("venv", help="virtual environment .json")
     p.add_argument("--mapper", default="hmn")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--engine", default="compiled", choices=["compiled", "dict"],
-                   help="route-kernel implementation (affects speed only; "
-                        "mappings are engine-independent)")
     p.add_argument("--shard", default="auto", metavar="auto|off|N",
                    help="shard-and-stitch control for the hmn mapper: 'auto' "
                         "engages pods at 4096+ hosts, 'off' forces the "
@@ -217,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "fat-tree: k=4, 16 hosts, 20 switches)")
     p.add_argument("--events", type=int, default=200)
     p.add_argument("--seed", type=int, default=2009)
-    p.add_argument("--engine", default="compiled", choices=["compiled", "dict"])
     p.add_argument("--host-crash-rate", type=float, default=0.08)
     p.add_argument("--switch-fail-rate", type=float, default=0.05)
     p.add_argument("--link-degrade-rate", type=float, default=0.1)
@@ -258,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=2,
                    help="service worker tasks (decisions are byte-identical "
                         "at any count)")
-    p.add_argument("--engine", default="compiled", choices=["compiled", "dict"])
     p.add_argument("--store", metavar="FILE",
                    help="persist the run to this experiment-store JSONL "
                         "(must not already exist)")
@@ -292,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--quiet", action="store_true", help="only print mismatches")
 
     cp = csub.add_parser("fuzz",
-                         help="differential fuzzing across engines/runners/exact")
+                         help="differential fuzzing across routers/runners/exact")
     cp.add_argument("--seeds", type=int, default=50, metavar="N",
                     help="number of random instances to drive (default 50)")
     cp.add_argument("--base-seed", type=int, default=0)
@@ -385,8 +380,6 @@ def _map(args) -> int:
     cluster = _load(args.cluster, PhysicalCluster)
     venv = _load(args.venv, VirtualEnvironment)
     mapper = get_mapper(args.mapper)
-    # Only the RoutingCache-backed mappers understand the engine knob;
-    # the others (R, HS, ...) never touch the route kernels.
     kwargs: dict = {}
     canonical = args.mapper.lower()
     if canonical in ("hmn",):
@@ -397,12 +390,10 @@ def _map(args) -> int:
             else int(args.shard_workers)
         )
         kwargs["config"] = api.HMNConfig(
-            engine=args.engine, shard=shard, shard_workers=workers,
+            shard=shard, shard_workers=workers,
             redundancy=args.redundancy, backup_paths=args.backup_paths,
             time_budget_s=args.time_budget,
         )
-    elif canonical in ("random+astar", "ra"):
-        kwargs["engine"] = args.engine
     elif canonical in ("bnb", "exact") and args.time_budget is not None:
         kwargs["time_budget_s"] = args.time_budget
     if canonical == "portfolio" and args.policy:
@@ -563,7 +554,6 @@ def _chaos(args) -> int:
         seed=args.seed,
         model=model,
         config=HMNConfig(
-            engine=args.engine,
             redundancy=args.redundancy,
             backup_paths=args.backup_paths,
         ),
@@ -617,7 +607,7 @@ def _serve(args) -> int:
 
     cfg = AdmissionConfig(
         n_tenants=args.tenants, mean_lifetime=args.mean_lifetime,
-        seed=args.seed, hmn=HMNConfig(engine=args.engine),
+        seed=args.seed, hmn=HMNConfig(),
     )
     started = time.perf_counter()
     with open_service(cluster, config=cfg.hmn, n_workers=args.workers,

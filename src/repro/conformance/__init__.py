@@ -9,8 +9,9 @@ Three complementary ways to trust a mapper change:
   (relabeling, unit rescaling, guest-order permutation, unreachable
   host) whose effect on the result is known exactly.
 * :mod:`repro.conformance.fuzz` — seeded differential fuzzing across
-  the dict/compiled engines, serial/parallel runners, validator, and
-  exact solver.
+  the production/reference routers
+  (:mod:`~repro.conformance.reference`), serial/parallel runners,
+  validator, and exact solver.
 """
 
 from repro.conformance.corpus import (
@@ -48,6 +49,7 @@ from repro.conformance.oracles import (
     UnreachableHostOracle,
     oracle_by_name,
 )
+from repro.conformance.reference import ReferenceRoutingCache
 
 __all__ = [
     "CORPUS",
@@ -77,4 +79,5 @@ __all__ = [
     "UnitRescalingOracle",
     "UnreachableHostOracle",
     "oracle_by_name",
+    "ReferenceRoutingCache",
 ]

@@ -4,9 +4,11 @@ A seeded generator draws random (cluster, venv, config) triples and
 pushes each through every independent implementation path the repo
 has grown:
 
-* **dict engine vs compiled engine** — must produce byte-identical
-  mappings (compared through the canonical digest) or fail with the
-  same error class;
+* **production vs reference routers** — ``hmn_map`` must produce
+  byte-identical mappings (compared through the canonical digest) with
+  its default cache and with a
+  :class:`~repro.conformance.reference.ReferenceRoutingCache`, or fail
+  with the same error class in both;
 * **validate()** — every feasible result must satisfy Eqs. 1-9;
 * **exact solver** (tiny instances only) — the true placement optimum
   must satisfy ``objective(exact) <= objective(HMN)``, and exact
@@ -44,6 +46,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.conformance.digest import digest
+from repro.conformance.reference import ReferenceRoutingCache
 from repro.core.cluster import PhysicalCluster
 from repro.core.validate import validate_mapping
 from repro.core.venv import VirtualEnvironment
@@ -184,9 +187,7 @@ def generate_instance(
 
     The draw covers every topology family, both workload presets, a
     guest:host ratio of roughly 0.5-2.5, and the config axes that alter
-    mapper behavior (link order, migration on/off).  The engine field
-    is left at its default — the harness overrides it per comparison
-    arm.
+    mapper behavior (link order, migration on/off).
     """
     from repro.workload import HIGH_LEVEL, LOW_LEVEL, generate_virtual_environment
 
@@ -195,7 +196,7 @@ def generate_instance(
     cluster = _build_cluster(family, rng)
     # One draw in five deliberately overloads the cluster so the
     # failure paths (placement and routing rejection) get differential
-    # coverage too — both engines must fail with the same error class.
+    # coverage too — both router arms must fail with the same error class.
     if rng.random() < 0.2:
         ratio = float(rng.uniform(4.0, 12.0))
         density = float(rng.uniform(0.3, 0.9))
@@ -232,10 +233,14 @@ def _artifact(
 # ----------------------------------------------------------------------
 # the checks
 # ----------------------------------------------------------------------
-def _map_arm(cluster, venv, config, engine):
-    """Run one engine arm: (mapping, None) or (None, failure class name)."""
+def _map_arm(cluster, venv, config, cache=None):
+    """Run one router arm: (mapping, None) or (None, failure class name).
+
+    *cache* ``None`` is the production route path; pass a fresh
+    :class:`ReferenceRoutingCache` for the dict-space reference arm.
+    """
     try:
-        return hmn_map(cluster, venv, dataclasses.replace(config, engine=engine)), None
+        return hmn_map(cluster, venv, config, cache=cache), None
     except MappingError as exc:
         return None, type(exc).__name__
 
@@ -244,8 +249,8 @@ def _check_one_seed(seed: int, base_seed: int, report: FuzzReport) -> None:
     cluster, venv, config = generate_instance(seed, base_seed=base_seed)
     divergences: list[tuple[str, str]] = []
 
-    m_dict, fail_dict = _map_arm(cluster, venv, config, "dict")
-    m_comp, fail_comp = _map_arm(cluster, venv, config, "compiled")
+    m_dict, fail_dict = _map_arm(cluster, venv, config, ReferenceRoutingCache(cluster))
+    m_comp, fail_comp = _map_arm(cluster, venv, config)
 
     if (m_dict is None) != (m_comp is None):
         divergences.append(
@@ -270,7 +275,7 @@ def _check_one_seed(seed: int, base_seed: int, report: FuzzReport) -> None:
                 divergences.append(
                     (
                         "validate",
-                        f"{label} engine produced an invalid mapping: "
+                        f"{label} routers produced an invalid mapping: "
                         + "; ".join(str(v) for v in rep.violations[:3]),
                     )
                 )
@@ -408,7 +413,7 @@ def _check_redundant_seed(seed: int, base_seed: int, report: FuzzReport) -> None
 
     Hard checks: enabling redundancy (``k`` replicas + backup paths)
     must leave the *primary* mapping byte-identical — same digest as
-    the k=0 run, on both engines — because replicas are CPU-free and
+    the k=0 run, on both router arms — because replicas are CPU-free and
     backup reservations run strictly after Networking; the redundant
     mapping must still satisfy Eqs. 1-9; and its meta block must parse
     back (:func:`~repro.redundancy.stage.redundancy_records`) with
@@ -423,10 +428,10 @@ def _check_redundant_seed(seed: int, base_seed: int, report: FuzzReport) -> None
     divergences: list[tuple[str, str]] = []
     report.n_redundant += 1
 
-    m_plain, fail_plain = _map_arm(cluster, venv, config, "dict")
+    m_plain, fail_plain = _map_arm(cluster, venv, config, ReferenceRoutingCache(cluster))
     red_config = dataclasses.replace(config, redundancy=k, backup_paths=True)
-    m_red, fail_red = _map_arm(cluster, venv, red_config, "dict")
-    m_red_c, fail_red_c = _map_arm(cluster, venv, red_config, "compiled")
+    m_red, fail_red = _map_arm(cluster, venv, red_config, ReferenceRoutingCache(cluster))
+    m_red_c, fail_red_c = _map_arm(cluster, venv, red_config)
 
     if (m_plain is None) != (m_red is None) or fail_plain != fail_red:
         divergences.append(
@@ -691,7 +696,6 @@ def _check_tenancy_seed(seed: int, base_seed: int, report: FuzzReport) -> None:
         config,
         redundancy=int(rng.integers(0, 3)),
         backup_paths=bool(rng.random() < 0.5),
-        engine="dict" if rng.random() < 0.5 else "compiled",
     )
     venvs = [
         generate_virtual_environment(

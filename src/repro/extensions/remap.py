@@ -46,7 +46,6 @@ from repro.errors import ModelError
 from repro.hmn.config import HMNConfig
 from repro.hmn.hosting import run_hosting
 from repro.hmn.networking import run_networking
-from repro.routing.dijkstra import LatencyOracle
 from repro.tenancy import evacuate
 
 __all__ = ["RemapSummary", "extend_mapping", "evacuate_host", "evacuate_switch"]
@@ -83,8 +82,6 @@ def extend_mapping(
     venv: VirtualEnvironment,
     mapping: Mapping,
     config: HMNConfig | None = None,
-    *,
-    oracle: LatencyOracle | None = None,
 ) -> tuple[Mapping, RemapSummary]:
     """Map the part of *venv* that *mapping* does not cover yet.
 
@@ -151,7 +148,7 @@ def extend_mapping(
             to_route.add_vlink(e)
 
     t0 = time.perf_counter()
-    new_paths, networking_stats = run_networking(state, to_route, config, oracle=oracle)
+    new_paths, networking_stats = run_networking(state, to_route, config)
     networking_elapsed = time.perf_counter() - t0
 
     paths = dict(pinned)
@@ -183,7 +180,6 @@ def evacuate_host(
     config: HMNConfig | None = None,
     *,
     dead: bool = True,
-    oracle: LatencyOracle | None = None,
 ) -> tuple[Mapping, RemapSummary]:
     """Re-place the guests of *failed_host* and re-route around it.
 
@@ -207,7 +203,7 @@ def evacuate_host(
             "repro.resilience) to re-route around a lost forwarding node"
         )
     return _evacuate(
-        cluster, venv, mapping, config, oracle,
+        cluster, venv, mapping, config,
         leaving=frozenset({failed_host}),
         dead=frozenset({failed_host}) if dead else frozenset(),
         meta={"evacuated_host": failed_host},
@@ -220,8 +216,6 @@ def evacuate_switch(
     mapping: Mapping,
     failed_switch: NodeId,
     config: HMNConfig | None = None,
-    *,
-    oracle: LatencyOracle | None = None,
 ) -> tuple[Mapping, RemapSummary]:
     """Re-route every virtual link whose path transits *failed_switch*.
 
@@ -240,7 +234,7 @@ def evacuate_switch(
             "re-placed — use evacuate_host"
         )
     return _evacuate(
-        cluster, venv, mapping, config, oracle,
+        cluster, venv, mapping, config,
         dead=frozenset({failed_switch}),
         meta={"evacuated_switch": failed_switch},
     )
@@ -251,7 +245,6 @@ def _evacuate(
     venv: VirtualEnvironment,
     mapping: Mapping,
     config: HMNConfig | None,
-    oracle: LatencyOracle | None,
     *,
     leaving: frozenset[NodeId] = frozenset(),
     dead: frozenset[NodeId],
@@ -266,7 +259,6 @@ def _evacuate(
         config if config is not None else HMNConfig(),
         leaving=leaving,
         dead=dead,
-        oracle=oracle,
     )
     combined = dataclasses.replace(done.mapping, meta={**done.mapping.meta, **meta})
     summary = RemapSummary(

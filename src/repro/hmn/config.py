@@ -3,7 +3,11 @@
 The defaults reproduce the paper's heuristic exactly; every deviation
 the ablation benchmarks explore is a field here, so an
 :class:`HMNConfig` value fully describes which variant produced a
-mapping (it is recorded in ``Mapping.meta``).
+mapping (it is recorded in ``Mapping.meta``).  How Algorithm 1
+executes is not among them: every mapper routes through the
+index-space kernels of :mod:`repro.routing.compiled`, whose results
+the dict-space reference routers reproduce byte for byte
+(:mod:`repro.routing.cache`).
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ __all__ = [
     "MigrationOrigin",
     "RoutingMetric",
     "Router",
-    "Engine",
     "Shard",
     "ShardWorkers",
     "Redundancy",
@@ -120,16 +123,6 @@ ShardWorkers = Literal["auto"] | int
 #: paths and digests are byte-identical to ``redundancy=0``.
 Redundancy = int
 
-#: Which route-kernel implementation backs the Networking stage.
-#: "compiled" (default) runs the router in index space over the
-#: cluster's :class:`~repro.core.arrays.CompiledTopology` — integer
-#: heap pushes and flat-array reads (:mod:`repro.routing.compiled`);
-#: "dict" runs the original user-space routers.  Both engines return
-#: byte-identical mappings (property-tested); "dict" exists as the
-#: reference implementation and for the engine-comparison benches.
-Engine = Literal["compiled", "dict"]
-
-
 @keyword_only
 @dataclass(frozen=True, slots=True, kw_only=True)
 class HMNConfig:
@@ -164,9 +157,6 @@ class HMNConfig:
         Networking path-quality metric.
     router:
         Bottleneck-route implementation (see :data:`Router`).
-    engine:
-        Route-kernel implementation (see :data:`Engine`); affects speed
-        only, never results.
     shard:
         Substrate decomposition policy (see :data:`Shard`).  The
         default ``"auto"`` engages :mod:`repro.shard` only above its
@@ -213,7 +203,6 @@ class HMNConfig:
     migration_max_iterations: int = 1_000_000
     routing_metric: RoutingMetric = "bottleneck"
     router: Router = "algorithm1"
-    engine: Engine = "compiled"
     shard: Shard = "auto"
     shard_workers: ShardWorkers = "auto"
     redundancy: Redundancy = 0
@@ -238,8 +227,6 @@ class HMNConfig:
             raise ConfigError(f"unknown routing_metric {self.routing_metric!r}")
         if self.router not in ("algorithm1", "label_setting"):
             raise ConfigError(f"unknown router {self.router!r}")
-        if self.engine not in ("compiled", "dict"):
-            raise ConfigError(f"unknown engine {self.engine!r}")
         if isinstance(self.shard, bool) or not (
             self.shard in ("auto", "off") or (isinstance(self.shard, int) and self.shard >= 1)
         ):
@@ -292,12 +279,21 @@ class HMNConfig:
         and rejects unknown keys with :class:`~repro.errors.ConfigError`
         — the CLI and :class:`~repro.analysis.runner.BatchRunner` use
         this to ship configs across process boundaries as plain dicts.
+
+        Configs written while the route kernel was a user option carry
+        an ``engine`` key; its two legal values are accepted and dropped
+        (both gave byte-identical mappings), so older stores and config
+        files keep loading.
         """
         if not isinstance(data, TMapping):
             raise ConfigError(
                 f"HMNConfig.from_dict expects a mapping, got {type(data).__name__}"
             )
-        return cls(**dict(data))
+        data = dict(data)
+        engine = data.pop("engine", "compiled")
+        if engine not in ("compiled", "dict"):
+            raise ConfigError(f"unknown engine {engine!r}")
+        return cls(**data)
 
     @classmethod
     def paper(cls) -> "HMNConfig":

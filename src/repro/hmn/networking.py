@@ -40,7 +40,6 @@ from repro.hmn.config import HMNConfig
 from repro.hmn.ordering import ordered_vlinks
 from repro.routing.astar_prune import Constraint, Metric, astar_prune
 from repro.routing.cache import RoutingCache
-from repro.routing.dijkstra import LatencyOracle
 
 __all__ = ["run_networking"]
 
@@ -80,7 +79,6 @@ def run_networking(
     venv: VirtualEnvironment,
     config: HMNConfig,
     *,
-    oracle: LatencyOracle | None = None,
     cache: RoutingCache | None = None,
 ) -> tuple[dict[VLinkKey, tuple[NodeId, ...]], dict]:
     """Execute the Networking stage against a fully placed *state*.
@@ -93,14 +91,13 @@ def run_networking(
     :class:`~repro.routing.cache.RoutingCache` — pass one (e.g. shared
     across the mappings of a multi-tenant cluster) to reuse its latency
     labels and epoch-keyed path results; otherwise a private cache is
-    built, optionally adopting a caller-supplied *oracle* so warmed
-    Dijkstra tables are never discarded.
+    built.
 
     Raises :class:`~repro.errors.RoutingError` (heuristic failure) when
     some link admits no feasible path under the residual bandwidths.
     """
     if cache is None:
-        cache = RoutingCache(state.cluster, oracle=oracle, engine=config.engine)
+        cache = RoutingCache(state.cluster)
     paths: dict[VLinkKey, tuple[NodeId, ...]] = {}
     colocated = 0
     routed = 0
@@ -125,7 +122,6 @@ def run_networking(
                 latency_bound=link.vlat,
                 router=config.router,
                 max_expansions=config.max_route_expansions,
-                engine=config.engine,
             )
             nodes = result.nodes
             total_expansions += result.expansions
@@ -142,10 +138,10 @@ def run_networking(
         # Aggregate counters once per stage — never per link, so the
         # routing loop above stays uninstrumented (route.query spans
         # come from the cache itself).
-        rec.count("repro_links_routed_total", routed, engine=config.engine)
-        rec.count("repro_links_colocated_total", colocated, engine=config.engine)
+        rec.count("repro_links_routed_total", routed, engine=cache.engine)
+        rec.count("repro_links_colocated_total", colocated, engine=cache.engine)
         rec.count(
-            "repro_router_expansions_total", total_expansions, engine=config.engine
+            "repro_router_expansions_total", total_expansions, engine=cache.engine
         )
     return paths, {
         "links_routed": routed,
@@ -154,7 +150,6 @@ def run_networking(
         "dijkstra_tables": cache.label_tables,
         "routing_calls": routed,
         "cache_hit_rate": hits / queries if queries else 0.0,
-        "engine": config.engine,
         "route_kernel_s": cache.kernel_seconds - kernel_before,
         "cache": cache.stats(),
     }

@@ -1,4 +1,4 @@
-"""Disjoint-path routing through the existing route engines.
+"""Disjoint-path routing through the existing routers.
 
 Backup paths must avoid the primary path's links (and ideally its
 transit nodes) — otherwise the fault that breaks the primary breaks
@@ -6,11 +6,11 @@ the backup with it.  Rather than forking a third router,
 :func:`route_avoiding` *drains* the excluded edges: it temporarily
 reserves their full residual bandwidth on the shared
 :class:`~repro.core.state.ClusterState` and issues a normal query
-through the :class:`~repro.routing.cache.RoutingCache`.  Both routers
-of both engines prune edges whose residual is below the demand, so a
-drained edge is invisible to them — the dict router, the compiled
-router and its C kernel all honor the exclusion bit-identically, for
-free.  The drain bumps ``bw_epoch``, so the cache memo stays sound;
+through the :class:`~repro.routing.cache.RoutingCache`.  Every router
+prunes edges whose residual is below the demand, so a drained edge is
+invisible to it — the index-space kernels, their C hot loop and the
+dict-space reference routers all honor the exclusion bit-identically,
+for free.  The drain bumps ``bw_epoch``, so the cache memo stays sound;
 the ``finally`` release restores the residuals exactly (reservations
 are exact subtractions).
 
@@ -68,7 +68,6 @@ def route_avoiding(
     avoid_nodes: Iterable[NodeId] = (),
     router: str = "algorithm1",
     max_expansions: int = 2_000_000,
-    engine: str | None = None,
 ) -> BottleneckPath:
     """Bottleneck-route while treating the avoided edges/nodes as gone.
 
@@ -89,7 +88,6 @@ def route_avoiding(
             latency_bound=latency_bound,
             router=router,
             max_expansions=max_expansions,
-            engine=engine,
         )
     finally:
         for e, residual in drained:
@@ -105,7 +103,6 @@ def backup_route(
     latency_bound: float,
     router: str = "algorithm1",
     max_expansions: int = 2_000_000,
-    engine: str | None = None,
 ) -> tuple[tuple[NodeId, ...], str] | None:
     """A backup for *primary*: node-disjoint if possible, else
     link-disjoint, else ``None``.
@@ -137,7 +134,6 @@ def backup_route(
                 avoid_nodes=nodes,
                 router=router,
                 max_expansions=max_expansions,
-                engine=engine,
             )
         except RoutingError:
             continue

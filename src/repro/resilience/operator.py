@@ -42,7 +42,7 @@ every surviving mapping valid.
 Determinism: the trace is deterministic in its seed, tenant workloads
 are drawn from per-tenant streams (``derive(seed, "tenant", t)``), and
 the heal loop iterates everything in sorted order — so a chaos run is
-byte-identical across repeats, processes and routing engines
+byte-identical across repeats and processes
 (``ChaosResult.to_dict(include_wall=False)`` is the canonical form the
 determinism tests compare).
 """
@@ -329,7 +329,7 @@ class ChaosOperator:
         self.selfcheck = selfcheck
 
         self._state = ClusterState(cluster)
-        self._cache = RoutingCache(cluster, engine=self.config.engine)
+        self._cache = RoutingCache(cluster)
         self._live: dict[int, Tenant] = {}
         self._dead_hosts: set[NodeId] = set()
         self._dead_switches: set[NodeId] = set()
@@ -546,7 +546,6 @@ class ChaosOperator:
             latency_bound=link.vlat,
             router=self.config.router,
             max_expansions=self.config.max_route_expansions,
-            engine=self.config.engine,
         )
         if found is None:
             return
@@ -675,7 +674,6 @@ class ChaosOperator:
                     bandwidth=link.vbw, latency_bound=link.vlat,
                     router=config.router,
                     max_expansions=config.max_route_expansions,
-                    engine=config.engine,
                 )
             except RoutingError:
                 # Replica rescue: an endpoint host can be alive yet
@@ -712,7 +710,6 @@ class ChaosOperator:
                             bandwidth=link.vbw, latency_bound=link.vlat,
                             router=config.router,
                             max_expansions=config.max_route_expansions,
-                            engine=config.engine,
                         )
                         break
                     except RoutingError:

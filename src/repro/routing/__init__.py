@@ -15,9 +15,10 @@ Implements the path-finding substrate of the paper:
   labels + residual-epoch-keyed path results) the Networking stage and
   the retrying baselines route through;
 * :mod:`~repro.routing.compiled` — index-space kernels over the
-  cluster's :class:`~repro.core.arrays.CompiledTopology` (the default
-  ``engine="compiled"``; the dict-space routers above remain as the
-  reference engine).
+  cluster's :class:`~repro.core.arrays.CompiledTopology`, the only
+  route path the cache runs; the dict-space routers above remain as
+  the reference they are tested against
+  (:mod:`repro.conformance.reference`).
 """
 
 from repro.routing.astar_prune import (

@@ -1,4 +1,4 @@
-"""Build and load the C hot loop of the compiled route engine.
+"""Build and load the C hot loop of the index-space route kernels.
 
 The kernel source (``_ckernel.c``) is compiled on first use with the
 system C compiler into a content-addressed shared object under
@@ -6,8 +6,8 @@ system C compiler into a content-addressed shared object under
 with :mod:`ctypes` — no build-time dependency, no third-party package.
 Everything degrades gracefully: if there is no compiler, the build
 fails, the platform is exotic, or ``REPRO_NO_CKERNEL=1`` is set, the
-loader returns ``None`` and the route engine falls back to its
-pure-Python index-space kernel, which is semantically identical (the
+loader returns ``None`` and :mod:`repro.routing.compiled` falls back
+to its pure-Python index-space loop, which is semantically identical (the
 C kernel is an accelerator, never a behavior change — see the
 equivalence notes in ``_ckernel.c``).
 

@@ -1,6 +1,6 @@
 """Index-space routing kernels over a :class:`CompiledTopology`.
 
-These are the compiled-engine counterparts of the three dict-space
+These are the index-space counterparts of the three dict-space
 routers — :func:`repro.routing.dijkstra.latency_table`,
 :func:`repro.routing.bottleneck_prune.bottleneck_route` (Algorithm 1),
 and :func:`repro.routing.labels.bottleneck_route_labels` — with every
@@ -18,15 +18,17 @@ reads:
   structurally between siblings, and heap tiebreaks are a plain local
   integer counter.
 
-Equivalence with the dict engine is *by construction*, not best-effort:
-adjacency rows are built from the same ``cluster.neighbors`` iteration
-order as :class:`~repro.routing.graph.RoutingGraph`, heap entries order
-on the same ``(-bottleneck, latency, hops, seq)`` fields with ``seq``
-assigned in push order, and the bottleneck update
-``max(neg_bbw, -edge_bw)`` is bit-exact against ``min(bbw, edge_bw)``
-— so both engines pop, expand, and terminate identically, returning
-byte-identical paths, bottlenecks, expansion counts, and failure
-messages (property-tested in ``tests/test_engine_equivalence.py``).
+Equivalence with the dict-space routers is *by construction*, not
+best-effort: adjacency rows are built from the same
+``cluster.neighbors`` iteration order as
+:class:`~repro.routing.graph.RoutingGraph`, heap entries order on the
+same ``(-bottleneck, latency, hops, seq)`` fields with ``seq`` assigned
+in push order, and the bottleneck update ``max(neg_bbw, -edge_bw)`` is
+bit-exact against ``min(bbw, edge_bw)`` — so both pop, expand, and
+terminate identically, returning byte-identical paths, bottlenecks,
+expansion counts, and failure messages (property-tested in
+``tests/test_engine_equivalence.py`` and fuzzed through
+:mod:`repro.conformance.reference`).
 User-space node ids appear only at the result boundary.
 """
 
@@ -57,7 +59,7 @@ def compiled_latency_table(topo: CompiledTopology, dest_idx: int):
     """Minimum accumulated latency from every node index to *dest_idx*.
 
     Returns an ``array('d')`` indexed by node index (unreachable nodes
-    hold ``inf``).  The values are identical to the dict engine's
+    hold ``inf``).  The values are identical to the dict-space
     :func:`~repro.routing.dijkstra.latency_table` — final Dijkstra
     distances are independent of tie-break order, because every settled
     value is a single addition from a previously settled final value.
@@ -259,7 +261,7 @@ def bottleneck_route_compiled(
     seq = 0
     # Max-heap on bottleneck via negation; entries
     # (-bottleneck, latency, hops, seq, cons_cell, visited_bitmask)
-    # order on the same first four fields as the dict engine, and seq
+    # order on the same first four fields as the dict router, and seq
     # is assigned in push order, so pop order matches exactly.
     heap = [(-INFINITY, 0.0, 0, 0, (src, None), 1 << src)]
     expansions = 0

@@ -96,7 +96,7 @@ class ServiceCore:
         self.store = store
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.state = ClusterState(cluster)
-        self.cache = RoutingCache(cluster, engine=self.config.engine)
+        self.cache = RoutingCache(cluster)
         #: backup paths of every live tenant, risk-multiplexed
         self.ledger = BackupLedger(self.state)
         self._live: dict[Any, Tenant] = {}
@@ -163,7 +163,7 @@ class ServiceCore:
                 f"than the one supplied"
             )
         stored_config = HMNConfig.from_dict(meta.config)
-        if config is not None and config.describe() != meta.config:
+        if config is not None and config != stored_config:
             raise StoreError(
                 f"{store.path}: store was written under a different "
                 f"service config"

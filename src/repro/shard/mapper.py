@@ -148,22 +148,18 @@ def shard_map(
     *,
     state: ClusterState | None = None,
     n_pods: int | None = None,
-    oracle=None,
-    cache=None,
 ) -> Mapping:
     """Map *venv* onto *cluster* with the shard-and-stitch pipeline.
 
-    Accepts the same call shape as :func:`~repro.hmn.pipeline.hmn_map`
-    (*oracle*/*cache* are accepted for signature compatibility; the
-    stitcher's batched corridor router has no use for the monolithic
-    routing cache).  *n_pods* forces a pod count; by default the
+    Accepts the call shape of :func:`~repro.hmn.pipeline.hmn_map` minus
+    its routing cache (the stitcher's batched corridor router has no
+    use for it).  *n_pods* forces a pod count; by default the
     partitioner picks the topology's natural one.
 
     Raises :class:`PlacementError`/:class:`RoutingError` under exactly
     the monolithic pipeline's heuristic-failure contract, and restores
     a caller-supplied *state* on any failure.
     """
-    del oracle, cache  # monolithic-signature compatibility only
     if config is None:
         config = HMNConfig()
     shared_state = state is not None
@@ -175,7 +171,7 @@ def shard_map(
     stages: list[StageReport] = []
 
     def run_stage(name: str, stage_fn):
-        with rec.span(f"shard.{name}", engine=config.engine) as sp:
+        with rec.span(f"shard.{name}") as sp:
             t0 = time.perf_counter()
             result = stage_fn(sp)
             elapsed = time.perf_counter() - t0
@@ -189,13 +185,11 @@ def shard_map(
                 rec.observe("repro_stage_seconds", elapsed, stage=name)
         return result
 
-    with rec.span(
-        "shard.map", n_guests=venv.n_guests, n_vlinks=venv.n_vlinks, engine=config.engine
-    ) as root:
+    with rec.span("shard.map", n_guests=venv.n_guests, n_vlinks=venv.n_vlinks) as root:
         pool: PodPool | None = None
         try:
             # -- stage 1: partition substrate + virtual environment ----
-            with rec.span("shard.partition", engine=config.engine) as sp:
+            with rec.span("shard.partition") as sp:
                 t0 = time.perf_counter()
                 partition = partition_cluster(cluster, n_pods, seed=config.seed)
                 pod_states = [
@@ -386,7 +380,6 @@ def shard_map(
         timings["routing_calls"] = networking_stats["routing_calls"]
         timings["router_expansions"] = networking_stats["router_expansions"]
         timings["cache_hit_rate"] = networking_stats["cache_hit_rate"]
-        timings["engine"] = networking_stats["engine"]
         timings["route_kernel_s"] = networking_stats["route_kernel_s"]
         if rec.enabled:
             root.set(

@@ -704,7 +704,6 @@ def stitch_networking(
         "routing_calls": stitcher.stats["links_routed"],
         "router_expansions": stitcher.stats["stitch_pops"],
         "cache_hit_rate": 0.0,
-        "engine": "sharded",
         "route_kernel_s": 0.0,
         "stitch": dict(stitcher.stats),
     }

@@ -223,7 +223,6 @@ def evacuate(
     dead: Collection[NodeId] = frozenset(),
     broken: Collection[EdgeKey] = frozenset(),
     cache=None,
-    oracle=None,
     on_released: Callable[[set[EdgeKey]], None] | None = None,
 ) -> list[Evacuated]:
     """Move guests off *leaving* hosts and re-route what a fault severed.
@@ -293,9 +292,7 @@ def evacuate(
             for key in touched:
                 reroute.add_vlink(venv.vlink(*key))
             t0 = time.perf_counter()
-            new_paths, stats = run_networking(
-                state, reroute, config, oracle=oracle, cache=cache
-            )
+            new_paths, stats = run_networking(state, reroute, config, cache=cache)
             networking_s = time.perf_counter() - t0
 
             paths = {k: n for k, n in mapping.paths.items() if k not in new_paths}

@@ -17,6 +17,7 @@ import warnings
 import pytest
 
 from repro import api
+from repro.conformance.reference import ReferenceRoutingCache
 from repro.errors import ConfigError, ModelError
 from repro.hmn import hmn_map
 from repro.topology import paper_torus, torus_cluster
@@ -88,11 +89,13 @@ class TestSurface:
 
 
 class TestMapVirtualEnv:
-    @pytest.mark.parametrize("engine", ["dict", "compiled"])
-    def test_byte_identical_to_deep_import(self, cluster, venv, engine):
-        config = api.HMNConfig(engine=engine)
-        assert canon(api.map_virtual_env(cluster, venv, config=config)) == canon(
-            hmn_map(cluster, venv, config)
+    @pytest.mark.parametrize("routers", ["dict", "compiled"])
+    def test_byte_identical_to_deep_import(self, cluster, venv, routers):
+        # The facade forwards cache=; the reference routers must give
+        # the default run's bytes.
+        cache = ReferenceRoutingCache(cluster) if routers == "dict" else None
+        assert canon(api.map_virtual_env(cluster, venv, cache=cache)) == canon(
+            hmn_map(cluster, venv)
         )
 
     def test_default_config(self, cluster, venv):
@@ -102,12 +105,12 @@ class TestMapVirtualEnv:
 
     def test_dict_config_round_trips(self, cluster, venv):
         via_dict = api.map_virtual_env(
-            cluster, venv, config={"engine": "dict", "migration_enabled": False}
+            cluster, venv, config={"router": "label_setting", "migration_enabled": False}
         )
         via_config = api.map_virtual_env(
             cluster,
             venv,
-            config=api.HMNConfig(engine="dict", migration_enabled=False),
+            config=api.HMNConfig(router="label_setting", migration_enabled=False),
         )
         assert canon(via_dict) == canon(via_config)
 
@@ -154,9 +157,11 @@ class TestRunChaos:
 
     def test_dict_config_accepted(self):
         cluster = paper_torus(seed=5)
-        via_dict = api.run_chaos(cluster, n_events=40, seed=5, config={"engine": "dict"})
+        via_dict = api.run_chaos(
+            cluster, n_events=40, seed=5, config={"router": "label_setting"}
+        )
         via_config = api.run_chaos(
-            cluster, n_events=40, seed=5, config=api.HMNConfig(engine="dict")
+            cluster, n_events=40, seed=5, config=api.HMNConfig(router="label_setting")
         )
         assert via_dict.to_dict(include_wall=False) == via_config.to_dict(
             include_wall=False
@@ -175,16 +180,29 @@ class TestKeywordOnlyConfigs:
 
     def test_hmnconfig_rejects_unknown_kwarg_naming_options(self):
         with pytest.raises(ConfigError) as exc:
-            api.HMNConfig(engne="dict")
-        assert "engne" in str(exc.value)
-        assert "engine" in str(exc.value)  # the valid options are listed
+            api.HMNConfig(ruoter="label_setting")
+        assert "ruoter" in str(exc.value)
+        assert "router" in str(exc.value)  # the valid options are listed
 
     def test_hmnconfig_rejects_bad_value(self):
-        with pytest.raises(ConfigError, match="unknown engine"):
-            api.HMNConfig(engine="gpu")
+        with pytest.raises(ConfigError, match="unknown router"):
+            api.HMNConfig(router="gpu")
+
+    def test_hmnconfig_has_no_engine_option(self):
+        with pytest.raises(ConfigError, match="unknown HMNConfig option"):
+            api.HMNConfig(engine="compiled")
+
+    @pytest.mark.parametrize("engine", ["compiled", "dict"])
+    def test_hmnconfig_from_dict_drops_legacy_engine(self, engine):
+        legacy = {**api.HMNConfig(seed=3).describe(), "engine": engine}
+        assert api.HMNConfig.from_dict(legacy) == api.HMNConfig(seed=3)
+
+    def test_hmnconfig_from_dict_rejects_unknown_legacy_engine(self):
+        with pytest.raises(ConfigError, match="unknown engine 'gpu'"):
+            api.HMNConfig.from_dict({"engine": "gpu"})
 
     def test_hmnconfig_from_dict_round_trip(self):
-        config = api.HMNConfig(engine="dict", router="label_setting", seed=3)
+        config = api.HMNConfig(router="label_setting", seed=3)
         rebuilt = api.HMNConfig.from_dict(config.describe())
         assert rebuilt == config
 

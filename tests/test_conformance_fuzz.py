@@ -10,6 +10,8 @@ import pytest
 
 from repro.conformance import fuzz as fuzz_mod
 from repro.conformance.fuzz import FuzzReport, generate_instance, run_fuzz
+from repro.conformance.reference import ReferenceRoutingCache
+from repro.errors import RoutingError
 from repro.hmn.config import HMNConfig
 
 
@@ -102,28 +104,20 @@ class TestShardedArms:
 
 class TestInjectedDivergence:
     def test_engine_divergence_detected(self, monkeypatch):
-        """A compiled engine that returns a different placement than the
-        dict engine must surface as a divergence with a repro artifact."""
-        real = fuzz_mod.hmn_map
+        """Reference routers that disagree with the production kernels
+        must surface as a divergence with a repro artifact."""
 
-        def broken(cluster, venv, config=None, **kwargs):
-            m = real(cluster, venv, config, **kwargs)
-            if config is not None and config.engine == "compiled":
-                g0 = min(m.assignments)
-                new_host = next(
-                    h for h in cluster.host_ids if h != m.assignments[g0]
-                )
-                return dataclasses.replace(
-                    m, assignments={**m.assignments, g0: new_host}
-                )
-            return m
+        class Reversing(ReferenceRoutingCache):
+            def _kernel(self, *args, **kwargs):
+                result = super()._kernel(*args, **kwargs)
+                return dataclasses.replace(result, nodes=result.nodes[::-1])
 
-        monkeypatch.setattr(fuzz_mod, "hmn_map", broken)
+        monkeypatch.setattr(fuzz_mod, "ReferenceRoutingCache", Reversing)
         report = FuzzReport()
         fuzz_mod._check_one_seed(1, 0, report)  # seed 1 is mappable
         assert not report.ok
-        # The broken mapping is either invalid (path endpoints moved) or
-        # digests differently; both count.
+        # The reversed paths are either invalid (endpoints swapped) or
+        # digest differently; both count.
         assert {d.check for d in report.divergences} <= {
             "validate",
             "engine-digest",
@@ -133,16 +127,11 @@ class TestInjectedDivergence:
         assert set(art) == {"cluster", "venv", "config"}
 
     def test_failure_class_divergence_detected(self, monkeypatch):
-        from repro.errors import PlacementError
+        class Pathless(ReferenceRoutingCache):
+            def _kernel(self, state, origin, destination, **kwargs):
+                raise RoutingError((origin, destination), "sabotage")
 
-        real = fuzz_mod.hmn_map
-
-        def broken(cluster, venv, config=None, **kwargs):
-            if config is not None and config.engine == "compiled":
-                raise PlacementError("g", "sabotage")
-            return real(cluster, venv, config, **kwargs)
-
-        monkeypatch.setattr(fuzz_mod, "hmn_map", broken)
+        monkeypatch.setattr(fuzz_mod, "ReferenceRoutingCache", Pathless)
         report = FuzzReport()
         fuzz_mod._check_one_seed(1, 0, report)  # seed 1 is mappable
         assert [d.check for d in report.divergences] == ["engine-feasibility"]

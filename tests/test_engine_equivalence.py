@@ -1,13 +1,16 @@
-"""Property tests: the compiled engine is byte-identical to the dict engine.
+"""Property tests: the index-space kernels are byte-identical to the
+dict-space reference routers.
 
-The compiled routing layer (:mod:`repro.routing.compiled`) promises
-**bit-exact** equivalence with the original user-space routers — same
+The compiled routing layer (:mod:`repro.routing.compiled`), the only
+route path the mappers run, promises **bit-exact** equivalence with
+the original user-space routers — same
 paths, same bottleneck/latency floats, same expansion counts, same
 error messages — by construction (identical neighbor order, heap
 comparator, and float arithmetic).  These tests check that promise the
 only way it can be checked: exhaustively, across random topologies,
 random residual loads, and every configuration preset, with ``==`` on
-everything (no ``approx``).
+everything (no ``approx``).  Whole mappings reach the reference
+routers through ``hmn_map(cache=ReferenceRoutingCache(cluster))``.
 
 Also covered here: :class:`~repro.core.arrays.ArrayState`
 snapshot/restore round-trips exactly, and the runtime-compiled C hot
@@ -21,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.conformance.reference import ReferenceRoutingCache
 from repro.core import ClusterState, compile_topology
 from repro.errors import MappingError, RoutingError
 from repro.hmn import HMNConfig, hmn_map
@@ -81,12 +85,13 @@ def _loaded_state(cluster, load_seed: int) -> ClusterState:
 
 
 def _map_both(cluster, venv, **knobs):
-    """Run hmn_map under both engines; fold MappingError into the result."""
+    """Run hmn_map on the reference routers, then on the default route
+    path; fold MappingError into the result."""
+    config = HMNConfig(**knobs)
     results = []
-    for engine in ("dict", "compiled"):
-        config = HMNConfig(engine=engine, **knobs)
+    for cache in (ReferenceRoutingCache(cluster), None):
         try:
-            m = hmn_map(cluster, venv, config)
+            m = hmn_map(cluster, venv, config, cache=cache)
             results.append(("ok", dict(m.assignments), dict(m.paths), m.meta["objective"]))
         except MappingError as exc:
             results.append(("err", type(exc).__name__, str(exc)))
@@ -126,7 +131,8 @@ class TestMappingEquivalence:
 
 
 def _route_both(cluster, state, origin, destination, *, bandwidth, latency_bound):
-    """One query through each engine's router, errors folded in."""
+    """One query through the dict-space router and the index-space
+    kernel, errors folded in."""
     topo = compile_topology(cluster)
     oracle = LatencyOracle(cluster)
     out = []

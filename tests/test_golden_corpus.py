@@ -9,6 +9,7 @@ import pytest
 
 from repro import conformance
 from repro.conformance import corpus as corpus_mod
+from repro.conformance.reference import ReferenceRoutingCache
 from repro.core.mapping import Mapping
 from repro.errors import ModelError
 from repro.hmn.config import HMNConfig
@@ -34,8 +35,8 @@ class TestDigest:
 
     def test_engine_independent(self, small_instance):
         cluster, venv = small_instance
-        m_dict = hmn_map(cluster, venv, HMNConfig(engine="dict"))
-        m_comp = hmn_map(cluster, venv, HMNConfig(engine="compiled"))
+        m_dict = hmn_map(cluster, venv, cache=ReferenceRoutingCache(cluster))
+        m_comp = hmn_map(cluster, venv)
         assert conformance.digest(cluster, venv, m_dict) == conformance.digest(
             cluster, venv, m_comp
         )

@@ -14,7 +14,6 @@ from repro.core import (
 )
 from repro.errors import RoutingError
 from repro.hmn import HMNConfig, run_networking
-from repro.routing import LatencyOracle
 
 
 def place(state, venv, assignment):
@@ -79,17 +78,6 @@ class TestBasicRouting:
         place(state, v, {0: 0, 1: 2})
         with pytest.raises(RoutingError):
             run_networking(state, v, HMNConfig())
-
-    def test_shared_oracle_reused(self, line3):
-        # Adopting a caller-warmed LatencyOracle is a dict-engine
-        # contract; the compiled engine shares labels through the
-        # RoutingCache's CompiledLatencyOracle instead.
-        v = two_guests()
-        state = ClusterState(line3)
-        place(state, v, {0: 0, 1: 2})
-        oracle = LatencyOracle(line3)
-        run_networking(state, v, HMNConfig(engine="dict"), oracle=oracle)
-        assert oracle.cached_destinations >= 1
 
 
 class TestOrderingEffect:

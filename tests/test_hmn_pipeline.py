@@ -7,7 +7,7 @@ import pytest
 from repro.core import ClusterState, is_valid, validate_mapping
 from repro.errors import ModelError
 from repro.hmn import HMNConfig, hmn_map
-from repro.routing import LatencyOracle
+from repro.routing import RoutingCache
 from repro.topology import paper_switched, paper_torus
 from repro.workload import HIGH_LEVEL, generate_virtual_environment
 
@@ -88,11 +88,15 @@ class TestPipeline:
         assert mapping.meta["objective"] == pytest.approx(mapping.objective(torus, venv100))
 
     def test_shared_oracle(self, torus, venv100):
-        oracle = LatencyOracle(torus)
-        hmn_map(torus, venv100, oracle=oracle)
-        first = oracle.misses
-        hmn_map(torus, venv100, oracle=oracle)
-        assert oracle.misses == first  # second mapping hits the cache only
+        cache = RoutingCache(torus)
+        hmn_map(torus, venv100, cache=cache)
+        misses, hits = cache.oracle.misses, cache.label_hits
+        assert misses > 0
+        hmn_map(torus, venv100, cache=cache)
+        # The second mapping builds no latency table and reads the
+        # first one's.
+        assert cache.oracle.misses == misses
+        assert cache.label_hits > hits
 
     def test_preplaced_state_multi_tenant(self, torus, venv100):
         state = ClusterState(torus)

@@ -28,8 +28,9 @@ import time
 import pytest
 
 from repro import obs
+from repro.conformance.reference import ReferenceRoutingCache
 from repro.core import ClusterState
-from repro.hmn import HMNConfig, hmn_map
+from repro.hmn import hmn_map
 from repro.obs import (
     SPAN_REQUIRED_KEYS,
     MetricsRegistry,
@@ -337,16 +338,18 @@ def small_instance(seed=2009):
 
 
 class TestTracedMapping:
-    @pytest.mark.parametrize("engine", ["dict", "compiled"])
-    def test_traced_mapping_byte_identical(self, engine):
+    @pytest.mark.parametrize("routers", ["dict", "compiled"])
+    def test_traced_mapping_byte_identical(self, routers):
         cluster, venv = small_instance()
-        config = HMNConfig(engine=engine)
-        plain = hmn_map(cluster, venv, config)
+        cache = ReferenceRoutingCache(cluster) if routers == "dict" else None
+        plain = hmn_map(cluster, venv)
         with obs.recording() as tracer:
-            traced = hmn_map(cluster, venv, config)
+            traced = hmn_map(cluster, venv, cache=cache)
         assert canon(plain) == canon(traced)
         names = {s["name"] for s in tracer.spans}
         assert {"hmn.map", "hmn.hosting", "hmn.networking", "route.query"} <= names
+        queries = [s for s in tracer.spans if s["name"] == "route.query"]
+        assert {s["attrs"]["engine"] for s in queries} == {routers}
         assert validate_trace(tracer.spans) == []
 
     def test_stage_spans_nest_under_hmn_map(self):

@@ -14,8 +14,8 @@ Covers the four layers below the chaos operator:
   state;
 
 plus the headline conformance guarantee: enabling redundancy never
-changes the primary mapping's digest — across engines and across the
-shard pipeline.
+changes the primary mapping's digest — on the production and reference
+routers and across the shard pipeline.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.conformance import digest
+from repro.conformance.reference import ReferenceRoutingCache
 from repro.core.state import ClusterState, path_edges
 from repro.errors import ModelError
 from repro.hmn import HMNConfig, hmn_map
@@ -348,12 +349,13 @@ class TestRedundancyStage:
         mapping = hmn_map(torus, _venv(4), HMNConfig())
         assert redundancy_records(mapping) == ({}, {}, {})
 
-    @pytest.mark.parametrize("engine", ["dict", "compiled"])
-    def test_digest_identity_across_k(self, torus, engine):
+    @pytest.mark.parametrize("routers", ["dict", "compiled"])
+    def test_digest_identity_across_k(self, torus, routers):
         venv = _venv(5)
-        base = hmn_map(torus, venv, HMNConfig(engine=engine))
+        cache = ReferenceRoutingCache(torus) if routers == "dict" else None
+        base = hmn_map(torus, venv)
         red = hmn_map(
-            torus, venv, HMNConfig(engine=engine, redundancy=2, backup_paths=True)
+            torus, venv, HMNConfig(redundancy=2, backup_paths=True), cache=cache
         )
         assert digest(torus, venv, base) == digest(torus, venv, red)
 

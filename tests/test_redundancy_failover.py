@@ -96,12 +96,11 @@ class TestFastFailover:
         assert result.replicas_activated == 0
         assert result.backups_activated == 0
 
-    @pytest.mark.parametrize("engine", ["dict", "compiled"])
-    def test_redundant_chaos_selfchecks_clean(self, engine):
+    def test_redundant_chaos_selfchecks_clean(self):
         cluster = torus_cluster(2, 4, seed=SEED)
         result = run_chaos(
             cluster, n_events=150, seed=SEED,
-            config=HMNConfig(engine=engine, redundancy=1, backup_paths=True),
+            config=HMNConfig(redundancy=1, backup_paths=True),
             selfcheck=True,
         )
         assert result.validations > 0

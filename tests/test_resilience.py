@@ -11,7 +11,7 @@ Three layers:
   re-validates the full live set after each event and raises on any
   violation).
 * **Determinism** — same seed, same result, byte for byte: across
-  repeat runs, across routing engines, and across worker processes.
+  repeat runs and across worker processes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ModelError
-from repro.hmn import HMNConfig
 from repro.resilience import (
     EVENT_KINDS,
     ChaosOperator,
@@ -280,11 +279,11 @@ class TestChaosRuns:
 
 
 # ----------------------------------------------------------------------
-# Determinism: repeat runs, engines, worker processes
+# Determinism: repeat runs, worker processes
 # ----------------------------------------------------------------------
 
 
-def _chaos_json(seed: int, engine: str) -> str:
+def _chaos_json(seed: int) -> str:
     """Run one chaos experiment and return its canonical JSON (used
     both in-process and from worker processes)."""
     cluster = paper_clusters(seed=SEED)["switched"]
@@ -294,7 +293,6 @@ def _chaos_json(seed: int, engine: str) -> str:
         n_events=120,
         seed=seed,
         model=model,
-        config=HMNConfig(engine=engine),
         selfcheck=True,
     )
     return json.dumps(result.to_dict(include_wall=False), sort_keys=True)
@@ -302,18 +300,15 @@ def _chaos_json(seed: int, engine: str) -> str:
 
 class TestDeterminism:
     def test_same_seed_byte_identical(self):
-        assert _chaos_json(11, "compiled") == _chaos_json(11, "compiled")
+        assert _chaos_json(11) == _chaos_json(11)
 
     def test_different_seeds_differ(self):
-        assert _chaos_json(11, "compiled") != _chaos_json(12, "compiled")
-
-    def test_engines_byte_identical(self):
-        assert _chaos_json(11, "dict") == _chaos_json(11, "compiled")
+        assert _chaos_json(11) != _chaos_json(12)
 
     def test_worker_processes_byte_identical(self):
         """Two subprocesses and the parent all produce the same bytes —
         chaos runs survive process-pool execution (``workers>1``)."""
         with ProcessPoolExecutor(max_workers=2) as pool:
-            futures = [pool.submit(_chaos_json, 11, "compiled") for _ in range(2)]
+            futures = [pool.submit(_chaos_json, 11) for _ in range(2)]
             remote = [f.result(timeout=300) for f in futures]
-        assert remote[0] == remote[1] == _chaos_json(11, "compiled")
+        assert remote[0] == remote[1] == _chaos_json(11)

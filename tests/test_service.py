@@ -69,9 +69,11 @@ class TestMapRequest:
             MapRequest(tenant=0, venv={"guests": []})
 
     def test_dict_config_coerced(self):
-        req = MapRequest(tenant=0, venv=small_venv(0), config={"engine": "dict"})
+        req = MapRequest(
+            tenant=0, venv=small_venv(0), config={"router": "label_setting"}
+        )
         assert isinstance(req.config, HMNConfig)
-        assert req.config.engine == "dict"
+        assert req.config.router == "label_setting"
 
     def test_priority_and_deadline_validated(self):
         with pytest.raises(ModelError, match="priority"):
@@ -118,7 +120,7 @@ class TestAdmissionConfig:
 
     def test_describe_from_dict_roundtrip(self):
         cfg = AdmissionConfig(n_tenants=9, mean_lifetime=2.5, seed=4,
-                              hmn={"engine": "dict"})
+                              hmn={"router": "label_setting"})
         again = AdmissionConfig.from_dict(cfg.describe())
         assert again.describe() == cfg.describe()
         assert isinstance(again.hmn, HMNConfig)
@@ -166,9 +168,9 @@ class TestServiceCore:
         assert core.admit(MapRequest(tenant=0, venv=venv)).admitted
 
     def test_per_request_config_override(self, cluster):
-        core = ServiceCore(cluster, config=HMNConfig(engine="compiled"))
+        core = ServiceCore(cluster, config=HMNConfig())
         d = core.admit(MapRequest(
-            tenant=0, venv=small_venv(0), config=HMNConfig(engine="dict")
+            tenant=0, venv=small_venv(0), config=HMNConfig(router="label_setting")
         ))
         assert d.admitted
 

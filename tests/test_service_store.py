@@ -11,6 +11,7 @@ service quietly diverged from its history.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,9 @@ from repro.service.store import (
 )
 from repro.service.types import AdmissionDecision
 from repro.workload import LOW_LEVEL, generate_virtual_environment, paper_clusters
+
+
+DATA = Path(__file__).with_name("data")
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +192,20 @@ class TestResume:
         path = tmp_path / "s.jsonl"
         populated_store(cluster, path)
         with pytest.raises(StoreError, match="different .* config"):
-            ServiceCore.resume(cluster, path, config=HMNConfig(engine="dict"))
+            ServiceCore.resume(cluster, path, config=HMNConfig(link_order="vbw_asc"))
+
+    def test_resume_legacy_engine_store(self, tmp_path):
+        """A store written while the route kernel was a config option
+        (its meta record carries ``"engine": "compiled"``) resumes: every
+        replayed decision must equal the stored one, and the stored
+        config equals today's default."""
+        path = tmp_path / "legacy.jsonl"
+        path.write_bytes((DATA / "legacy_engine.store").read_bytes())
+        assert '"engine":"compiled"' in path.read_text().splitlines()[0]
+        resumed = ServiceCore.resume(None, path, config=HMNConfig())
+        assert resumed.config == HMNConfig()
+        assert (resumed.accepted, resumed.rejected) == (10, 0)
+        resumed.close()
 
     def test_tampered_decision_detected(self, cluster, tmp_path):
         path = tmp_path / "s.jsonl"

@@ -175,7 +175,7 @@ class TestShardedQuality:
         for key in (
             "partition_s", "hosting_s", "migration_s", "networking_s",
             "total_s", "routing_calls", "router_expansions",
-            "cache_hit_rate", "engine", "route_kernel_s",
+            "cache_hit_rate", "route_kernel_s",
         ):
             assert key in timings
         assert mapping.meta["shard"]["n_pods"] == 4

@@ -103,8 +103,7 @@ class TestReleaseFreesRedundancy:
 # the round-trip property, through the service and the chaos operator
 # ----------------------------------------------------------------------
 configs = st.builds(
-    lambda engine, shard, k, backup_paths, router, migration: HMNConfig(
-        engine=engine,
+    lambda shard, k, backup_paths, router, migration: HMNConfig(
         shard=shard,
         shard_workers=1,
         redundancy=k,
@@ -112,7 +111,6 @@ configs = st.builds(
         router=router,
         migration_enabled=migration,
     ),
-    st.sampled_from(["dict", "compiled"]),
     st.sampled_from(["off", 2]),
     st.integers(0, 2),
     st.booleans(),
