@@ -1,12 +1,14 @@
-"""Content-addressed build cache for the runtime-compiled C kernels.
+"""The one loader for the runtime-compiled C kernels.
 
 Both accelerator kernels (:mod:`repro.routing._cbuild`'s bottleneck
-router and :mod:`repro.shard._kernel`'s batched stitch router) follow
-the same discipline: compile the checked-in ``.c`` source on first use
-with the system compiler into a shared object named after the source's
-SHA-256, load it with :mod:`ctypes`, and degrade to ``None`` — i.e. to
-the bit-identical pure-Python twin — on any failure or when
-``REPRO_NO_CKERNEL=1`` is set.  This module is that discipline, shared.
+router and :mod:`repro.shard._kernel`'s batched stitch router) come
+from :func:`kernel_loader`: compile the checked-in ``.c`` source on
+first use with the system compiler into a shared object named after
+the source's SHA-256, load it with :mod:`ctypes`, type its entry point
+and memoize the library, or ``None`` — i.e. the bit-identical
+pure-Python twin — on any failure or when ``REPRO_NO_CKERNEL=1`` is
+set.  Whether a mapping uses a loaded kernel is the routing cache's
+choice (:class:`repro.routing.cache.RoutingCache`), not the loader's.
 
 The cache is safe under concurrent cold starts (BatchRunner cells,
 :mod:`repro.shard.parallel` pod workers): each process compiles into a
@@ -18,12 +20,14 @@ a newer source.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import subprocess
 from pathlib import Path
+from typing import Callable
 
-__all__ = ["load_cached_library", "CFLAGS"]
+__all__ = ["kernel_loader", "CFLAGS"]
 
 #: -ffp-contract=off forbids fused multiply-add contraction so every
 #: double operation rounds exactly like the Python kernels'; -O2 keeps
@@ -49,33 +53,42 @@ def _build(source: Path, so_path: Path) -> bool:
         return False
 
 
-def load_cached_library(
-    source: Path, cache_dir: Path, prefix: str
-) -> "ctypes.CDLL | None":
-    """Compile (if needed) and load *source* from *cache_dir*.
+def kernel_loader(
+    source: Path, cache_dir: Path, symbol: str, argtypes: tuple, restype
+) -> Callable[[], "ctypes.CDLL | None"]:
+    """A memoized zero-argument loader for *source*'s entry point *symbol*.
 
-    The artifact is ``<cache_dir>/<prefix>_<sha256[:16]>.so``; an
-    existing artifact for the same source bytes is reused without
-    invoking the compiler.  Returns ``None`` when the kernel is
+    Its first call builds ``<cache_dir>/<stem>_<sha256[:16]>.so``
+    (*stem* without its leading underscore) unless that artifact
+    exists, and loads it; it returns ``None`` when the kernel is
     disabled (``REPRO_NO_CKERNEL=1``), the source is unreadable, the
-    build fails, or the artifact cannot be loaded.
+    build fails, or the artifact cannot be loaded or lacks *symbol*.
     """
-    if os.environ.get("REPRO_NO_CKERNEL") == "1":
-        return None
-    try:
-        source_bytes = source.read_bytes()
-    except OSError:
-        return None
-    digest = hashlib.sha256(source_bytes).hexdigest()[:16]
-    so_path = cache_dir / f"{prefix}_{digest}.so"
-    if not so_path.exists():
+
+    @functools.cache
+    def load() -> "ctypes.CDLL | None":
+        if os.environ.get("REPRO_NO_CKERNEL") == "1":
+            return None
         try:
-            cache_dir.mkdir(exist_ok=True)
+            source_bytes = source.read_bytes()
         except OSError:
             return None
-        if not _build(source, so_path):
+        digest = hashlib.sha256(source_bytes).hexdigest()[:16]
+        so_path = cache_dir / f"{source.stem.lstrip('_')}_{digest}.so"
+        if not so_path.exists():
+            try:
+                cache_dir.mkdir(exist_ok=True)
+            except OSError:
+                return None
+            if not _build(source, so_path):
+                return None
+        try:
+            lib = ctypes.CDLL(str(so_path))
+            fn = getattr(lib, symbol)
+        except (OSError, AttributeError):
             return None
-    try:
-        return ctypes.CDLL(str(so_path))
-    except OSError:
-        return None
+        fn.argtypes = list(argtypes)
+        fn.restype = restype
+        return lib
+
+    return load

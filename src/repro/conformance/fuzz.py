@@ -16,8 +16,9 @@ has grown:
 * **serial vs parallel batch runner** — the same cell grid must yield
   identical records modulo wall-clock telemetry.
 * **sharded pipeline** — forced ``shard=n`` runs must be byte-identical
-  with the stitch C kernel on and off, and every sharded result must
-  validate; sharded-vs-monolithic feasibility/failure-class gaps are
+  with the default cache (stitch C kernel) and with a
+  ``ReferenceRoutingCache`` (the stitch router's Python driver), and
+  every sharded result must validate; sharded-vs-monolithic feasibility/failure-class gaps are
   legitimate (pod-local fragmentation) and are counted, not failed.
 * **solver portfolio** — on tiny instances the branch-and-bound and
   exhaustive solvers must agree on feasibility and (both scoring leaves
@@ -323,8 +324,10 @@ def _check_one_seed(seed: int, base_seed: int, report: FuzzReport) -> None:
 def _check_sharded_seed(seed: int, base_seed: int, report: FuzzReport) -> None:
     """The sharded-pipeline arms on one forced-shard instance.
 
-    Hard checks: the stitch C kernel and its Python reference must
-    agree on feasibility, failure class, and the full digest; the
+    Hard checks: the default run (stitch C kernel) and the run through
+    a :class:`ReferenceRoutingCache` (the stitch router's Python
+    driver) must agree on feasibility, failure class, and the full
+    digest; the
     process-parallel pod pipeline (``shard_workers=2``) must be
     byte-identical to the serial path; every sharded mapping must
     satisfy Eqs. 1-9.  Sharded-vs-monolithic disagreement on
@@ -337,21 +340,18 @@ def _check_sharded_seed(seed: int, base_seed: int, report: FuzzReport) -> None:
     n_pods = int(rng.integers(2, 5))
     divergences: list[tuple[str, str]] = []
 
-    def arm(**overrides):
-        try:
-            return hmn_map(cluster, venv, dataclasses.replace(config, **overrides)), None
-        except MappingError as exc:
-            return None, type(exc).__name__
+    def arm(cache=None, **overrides):
+        return _map_arm(cluster, venv, dataclasses.replace(config, **overrides), cache)
 
-    m_on, fail_on = arm(shard=n_pods, extra={"stitch_kernel": True})
-    m_off, fail_off = arm(shard=n_pods, extra={"stitch_kernel": False})
+    m_on, fail_on = arm(shard=n_pods)
+    m_off, fail_off = arm(ReferenceRoutingCache(cluster), shard=n_pods)
     report.n_sharded += 1
 
     if (m_on is None) != (m_off is None) or fail_on != fail_off:
         divergences.append(
             (
                 "stitch-kernel-feasibility",
-                f"kernel-on={fail_on or 'mapped'} but kernel-off={fail_off or 'mapped'}",
+                f"production={fail_on or 'mapped'} but reference={fail_off or 'mapped'}",
             )
         )
     elif m_on is not None:
@@ -371,14 +371,14 @@ def _check_sharded_seed(seed: int, base_seed: int, report: FuzzReport) -> None:
                 divergences.append(
                     (
                         "stitch-kernel-digest",
-                        f"kernel-on {d_on[:16]}.. != kernel-off {d_off[:16]}..",
+                        f"production {d_on[:16]}.. != reference {d_off[:16]}..",
                     )
                 )
 
     # Serial vs process-parallel: same instance, same pods, two
     # workers.  The pool merges per-pod decision logs in pod-id order,
     # so any digest drift here is a real determinism bug — hard check.
-    m_par, fail_par = arm(shard=n_pods, shard_workers=2, extra={"stitch_kernel": True})
+    m_par, fail_par = arm(shard=n_pods, shard_workers=2)
     if (m_on is None) != (m_par is None) or fail_on != fail_par:
         divergences.append(
             (

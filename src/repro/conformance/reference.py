@@ -12,8 +12,10 @@ existing seam::
 
     hmn_map(cluster, venv, config, cache=ReferenceRoutingCache(cluster))
 
-must digest equal to ``hmn_map(cluster, venv, config)``; the
-differential fuzzer and the equivalence tests compare exactly that.
+must digest equal to ``hmn_map(cluster, venv, config)`` — sharded
+configs included, where the stitch router then runs its pure-Python
+batch driver instead of the C kernel.  The differential fuzzer and the
+equivalence tests compare exactly that.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ class ReferenceRoutingCache(RoutingCache):
     :class:`~repro.routing.graph.RoutingGraph`.
 
     Memo, telemetry and the ``route.query`` span are inherited; only
-    the kernel call differs.  Build a fresh one per comparison: a
-    shared memo would serve later runs from earlier results.
+    the kernel calls differ — route misses and, on the sharded path,
+    the stitch router's wave batches.  Build a fresh one per
+    comparison: a shared memo would serve later runs from earlier
+    results.
     """
 
     engine = "dict"
@@ -54,3 +58,7 @@ class ReferenceRoutingCache(RoutingCache):
         return bottleneck_route(
             self.cluster, origin, destination, max_expansions=max_expansions, **query
         )
+
+    def batch_kernel(self) -> None:
+        """``None``: the stitch router runs its Python reference driver."""
+        return None

@@ -3,17 +3,18 @@
 The defaults reproduce the paper's heuristic exactly; every deviation
 the ablation benchmarks explore is a field here, so an
 :class:`HMNConfig` value fully describes which variant produced a
-mapping (it is recorded in ``Mapping.meta``).  How Algorithm 1
-executes is not among them: every mapper routes through the
-index-space kernels of :mod:`repro.routing.compiled`, whose results
-the dict-space reference routers reproduce byte for byte
+mapping (it is recorded in ``Mapping.meta``).  Which kernels execute
+Algorithm 1 and the sharded stitch router is not among them: every
+mapper runs the production kernels, whose results the reference
+routers reproduce byte for byte, and only the routing cache passed as
+``hmn_map(cache=...)`` can swap one for the other
 (:mod:`repro.routing.cache`).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Literal, Mapping as TMapping
 
 from repro.errors import ConfigError
@@ -210,7 +211,6 @@ class HMNConfig:
     max_route_expansions: int = 2_000_000
     time_budget_s: float | None = None
     seed: int | None = None
-    extra: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if self.link_order not in ("vbw_desc", "vbw_asc", "random"):
@@ -268,17 +268,15 @@ class HMNConfig:
 
     def describe(self) -> dict:
         """JSON-friendly summary recorded in ``Mapping.meta``."""
-        d = asdict(self)
-        d.pop("extra", None)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: TMapping[str, Any]) -> "HMNConfig":
         """Inverse of :meth:`describe`: rebuild a config from its JSON
-        form.  Round-trips exactly (``extra`` is excluded from equality)
-        and rejects unknown keys with :class:`~repro.errors.ConfigError`
-        — the CLI and :class:`~repro.analysis.runner.BatchRunner` use
-        this to ship configs across process boundaries as plain dicts.
+        form.  Round-trips exactly and rejects unknown keys with
+        :class:`~repro.errors.ConfigError` — the CLI and
+        :class:`~repro.analysis.runner.BatchRunner` use this to ship
+        configs across process boundaries as plain dicts.
 
         Configs written while the route kernel was a user option carry
         an ``engine`` key; its two legal values are accepted and dropped

@@ -95,9 +95,13 @@ def hmn_map(
         latency labels, which depend only on topology, plus the
         epoch-keyed path memo).  Pass one across repeated mappings of
         the same cluster to reuse routing work; a private cache is
-        built otherwise.  A
+        built otherwise.  The cache also picks the sharded path's
+        stitch batch kernel
+        (:meth:`~repro.routing.cache.RoutingCache.batch_kernel`).  A
         :class:`~repro.conformance.reference.ReferenceRoutingCache`
-        runs the same mapping on the dict-space reference routers.
+        runs the same mapping on the reference routers: the dict-space
+        routers, and on the sharded path the stitch router's Python
+        driver.
     backup_ledger:
         Optional shared :class:`~repro.redundancy.ledger.BackupLedger`
         for ``config.backup_paths`` reservations.  Multi-tenant
@@ -142,7 +146,7 @@ def hmn_map(
         if not redundant:
             return shard_map(
                 cluster, venv, config,
-                state=state, n_pods=target_pods,
+                state=state, cache=cache, n_pods=target_pods,
             )
         # Redundancy rides on top of the sharded primary mapping: run
         # shard_map against an explicit state, then the same post-stage
@@ -157,7 +161,7 @@ def hmn_map(
         pre_shard = state.copy() if shared_state else None
         mapping = shard_map(
             cluster, venv, config,
-            state=state, n_pods=target_pods,
+            state=state, cache=cache, n_pods=target_pods,
         )
         try:
             return _with_redundancy(

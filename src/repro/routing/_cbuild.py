@@ -11,39 +11,25 @@ to its pure-Python index-space loop, which is semantically identical (the
 C kernel is an accelerator, never a behavior change — see the
 equivalence notes in ``_ckernel.c``).
 
-The compile-and-cache mechanics (including safety under concurrent
-cold builds) live in :mod:`repro._ccompile`, shared with the stitch
-kernel's loader (:mod:`repro.shard._kernel`).
+Building, caching and memoizing are :func:`repro._ccompile.kernel_loader`,
+shared with the stitch kernel (:mod:`repro.shard._kernel`).
 """
 
 from __future__ import annotations
 
-import ctypes
+from ctypes import c_double as f64, c_int, c_int64 as i64, c_void_p as ptr
 from pathlib import Path
 
-from repro._ccompile import load_cached_library
+from repro import _ccompile
 
 __all__ = ["load_kernel"]
 
-_SOURCE = Path(__file__).with_name("_ckernel.c")
-_CACHE_DIR = Path(__file__).with_name("_ckernel_cache")
-
-_sentinel = object()
-_lib = _sentinel
-
-
-def _load() -> "ctypes.CDLL | None":
-    lib = load_cached_library(_SOURCE, _CACHE_DIR, "ckernel")
-    if lib is None:
-        return None
-    try:
-        fn = lib.ck_bottleneck_route
-    except AttributeError:
-        return None
-    ptr = ctypes.c_void_p
-    i64 = ctypes.c_int64
-    f64 = ctypes.c_double
-    fn.argtypes = [
+#: The loaded kernel library, or ``None`` when unavailable (memoized).
+load_kernel = _ccompile.kernel_loader(
+    Path(__file__).with_name("_ckernel.c"),
+    Path(__file__).with_name("_ckernel_cache"),
+    "ck_bottleneck_route",
+    (
         ptr, ptr, ptr, ptr,  # adj_off, adj_nbr, adj_edge, adj_lat
         ptr, ptr,            # bw, ar
         i64, i64,            # src, dst
@@ -51,18 +37,6 @@ def _load() -> "ctypes.CDLL | None":
         i64,                 # max_expansions
         ptr, ptr,            # out_path, out_path_len
         ptr, ptr, ptr,       # out_bbw, out_lat, out_expansions
-    ]
-    fn.restype = ctypes.c_int
-    return lib
-
-
-def load_kernel() -> "ctypes.CDLL | None":
-    """The loaded kernel library, or ``None`` when unavailable.
-
-    Memoized per process; the first call may invoke the C compiler
-    (sub-second, once per source revision per machine).
-    """
-    global _lib
-    if _lib is _sentinel:
-        _lib = _load()
-    return _lib
+    ),
+    c_int,
+)

@@ -32,8 +32,10 @@ user-space routers (:mod:`~repro.routing.bottleneck_prune`,
 the test reference:
 :class:`repro.conformance.reference.ReferenceRoutingCache` overrides
 :meth:`RoutingCache._kernel` to run them, and reaches any mapper
-through ``hmn_map(cache=...)``.  ``kernel_seconds`` accumulates wall
-time spent inside route kernels (cache misses only), surfaced as
+through ``hmn_map(cache=...)``; its :meth:`~RoutingCache.batch_kernel`
+also sends the sharded mapper's stitch router to the Python twin of
+the batched C kernel.  ``kernel_seconds`` accumulates wall time spent
+inside route kernels (cache misses only), surfaced as
 ``Mapping.meta["timings"]["route_kernel_s"]``.
 
 ``hit_rate`` aggregates both layers; the per-layer counters stay
@@ -57,6 +59,8 @@ from repro.routing.compiled import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
+    import ctypes
+
     from repro.core.arrays import CompiledTopology
     from repro.core.state import ClusterState
 
@@ -261,6 +265,15 @@ class RoutingCache:
             bandwidth=bandwidth, latency_bound=latency_bound, oracle=self.oracle,
             max_expansions=max_expansions,
         )
+
+    def batch_kernel(self) -> "ctypes.CDLL | None":
+        """The batched stitch router's kernel (:mod:`repro.shard.stitch`):
+        the C library when it loads, else ``None`` for its Python twin."""
+        # Lazy: the repro.shard package imports the pipeline, which
+        # imports this module.
+        from repro.shard._kernel import load_stitch_kernel
+
+        return load_stitch_kernel()
 
     def drop_stale(self, epoch: int) -> int:
         """Drop every memo entry not keyed by *epoch*; returns the count.

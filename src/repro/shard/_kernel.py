@@ -1,44 +1,32 @@
 """Build and load the batched stitch-routing C kernel.
 
-Same pattern as :mod:`repro.routing._cbuild` — and, since PR 7, the
-same *code*: the content-addressed compile cache lives in
-:mod:`repro._ccompile`.  ``_stitchkernel.c`` is compiled on first use
-into ``_stitch_cache/`` keyed by the source's SHA-256, so concurrent
-cold starts (conformance fuzz processes, :mod:`repro.shard.parallel`
-pod workers) never race on the build or recompile per process, and the
-loader degrades to ``None`` — and therefore to the semantically
-identical pure-Python wave driver in :mod:`repro.shard.stitch` — on
-any failure or when ``REPRO_NO_CKERNEL=1`` is set (one switch disables
-every C accelerator in the library).
+``_stitchkernel.c`` is compiled on first use into ``_stitch_cache/``
+keyed by the source's SHA-256, through the loader shared with
+:mod:`repro.routing._cbuild` (:func:`repro._ccompile.kernel_loader`),
+so concurrent cold starts (conformance fuzz processes,
+:mod:`repro.shard.parallel` pod workers) never race on the build or
+recompile per process.  The loader degrades to ``None`` — and
+therefore to the semantically identical pure-Python wave driver in
+:mod:`repro.shard.stitch` — on any failure or when
+``REPRO_NO_CKERNEL=1`` is set (one switch disables every C accelerator
+in the library).
 """
 
 from __future__ import annotations
 
-import ctypes
+from ctypes import c_int64 as i64, c_void_p as ptr
 from pathlib import Path
 
-from repro._ccompile import load_cached_library
+from repro import _ccompile
 
 __all__ = ["load_stitch_kernel"]
 
-_SOURCE = Path(__file__).with_name("_stitchkernel.c")
-_CACHE_DIR = Path(__file__).with_name("_stitch_cache")
-
-_sentinel = object()
-_lib = _sentinel
-
-
-def _load() -> "ctypes.CDLL | None":
-    lib = load_cached_library(_SOURCE, _CACHE_DIR, "stitchkernel")
-    if lib is None:
-        return None
-    try:
-        fn = lib.sk_route_batch
-    except AttributeError:
-        return None
-    ptr = ctypes.c_void_p
-    i64 = ctypes.c_int64
-    fn.argtypes = [
+#: The loaded kernel library, or ``None`` when unavailable (memoized).
+load_stitch_kernel = _ccompile.kernel_loader(
+    Path(__file__).with_name("_stitchkernel.c"),
+    Path(__file__).with_name("_stitch_cache"),
+    "sk_route_batch",
+    (
         ptr, ptr, ptr, ptr,  # adj_off, adj_nbr, adj_edge, adj_lat
         ptr,                 # bw
         i64,                 # n_nodes
@@ -46,14 +34,6 @@ def _load() -> "ctypes.CDLL | None":
         i64,                 # n_queries
         ptr, i64, ptr,       # out_nodes, out_cap, out_off
         ptr, ptr,            # status, total_pops
-    ]
-    fn.restype = i64
-    return lib
-
-
-def load_stitch_kernel() -> "ctypes.CDLL | None":
-    """The loaded kernel library, or ``None`` when unavailable."""
-    global _lib
-    if _lib is _sentinel:
-        _lib = _load()
-    return _lib
+    ),
+    i64,
+)

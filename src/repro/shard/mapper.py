@@ -24,7 +24,8 @@
    objective too.
 4. **networking** — :func:`repro.shard.stitch.stitch_networking`:
    cross-pod links batched into corridor waves through the contracted
-   inter-pod graph, one C-kernel call per wave.
+   inter-pod graph, one batch-kernel call per wave (the C kernel, or
+   its Python twin when the routing cache asks for it).
 
 Only after the placement stages succeed on the pod views are the
 placements replayed onto the global :class:`ClusterState` — whose own
@@ -50,6 +51,7 @@ from repro.core.venv import VirtualEnvironment
 from repro.errors import PlacementError
 from repro.hmn.config import HMNConfig
 from repro.hmn.ordering import ordered_vlinks
+from repro.routing.cache import RoutingCache
 from repro.shard.parallel import PodPool, resolve_shard_workers
 from repro.shard.partition import Partition, partition_cluster
 from repro.shard.stitch import stitch_networking
@@ -147,14 +149,17 @@ def shard_map(
     config: HMNConfig | None = None,
     *,
     state: ClusterState | None = None,
+    cache: RoutingCache | None = None,
     n_pods: int | None = None,
 ) -> Mapping:
     """Map *venv* onto *cluster* with the shard-and-stitch pipeline.
 
-    Accepts the call shape of :func:`~repro.hmn.pipeline.hmn_map` minus
-    its routing cache (the stitcher's batched corridor router has no
-    use for it).  *n_pods* forces a pod count; by default the
-    partitioner picks the topology's natural one.
+    Accepts the call shape of :func:`~repro.hmn.pipeline.hmn_map`.  The
+    stitch router takes its batch kernel from *cache*
+    (:meth:`~repro.routing.cache.RoutingCache.batch_kernel`), so a
+    :class:`~repro.conformance.reference.ReferenceRoutingCache` runs
+    it on the Python reference driver.  *n_pods* forces a pod count; by
+    default the partitioner picks the topology's natural one.
 
     Raises :class:`PlacementError`/:class:`RoutingError` under exactly
     the monolithic pipeline's heuristic-failure contract, and restores
@@ -365,7 +370,7 @@ def shard_map(
             # -- stage 4: stitch networking ----------------------------
             paths, networking_stats = run_stage(
                 "networking",
-                lambda sp: stitch_networking(state, venv, config, partition),
+                lambda sp: stitch_networking(state, venv, config, partition, cache),
             )
         except Exception:
             if snapshot is not None:

@@ -8,8 +8,8 @@ contracted inter-pod graph (nodes: pods and spine classes, edges:
 "some physical link crosses between these groups").  All links of a
 wave share one **corridor region**: the union of the route's groups,
 materialised once as a local CSR.  A wave is routed by a single call
-into the batched C kernel (:mod:`repro.shard._stitchkernel`) — or its
-bit-identical pure-Python twin — which runs a capacity-filtered
+into the batched C kernel (``_stitchkernel.c``) — or its bit-identical
+pure-Python twin — which runs a capacity-filtered
 minimum-latency Dijkstra per link and subtracts each found path's
 demand from the corridor's residual array so later links of the wave
 see it.  Found paths are then replayed onto the global
@@ -29,6 +29,14 @@ highest-capacity contracted-graph neighbors
 full-graph rescue batch after all waves settle.  Corridors therefore
 only ever cost a retry, never a spurious failure, and the widening
 keeps the expensive full-graph pass rare even on saturated substrates.
+
+Which of the two batch drivers runs is the routing cache's choice
+(:meth:`~repro.routing.cache.RoutingCache.batch_kernel`): the
+production :class:`~repro.routing.cache.RoutingCache` hands over the C
+kernel whenever it loads, and the test reference
+:class:`~repro.conformance.reference.ReferenceRoutingCache` always
+selects the Python twin, which is also the only driver on a machine
+without a C compiler.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from repro.core.vlink import VLinkKey
 from repro.errors import RoutingError
 from repro.hmn.config import HMNConfig
 from repro.hmn.ordering import ordered_vlinks
-from repro.shard._kernel import load_stitch_kernel
+from repro.routing.cache import RoutingCache
 from repro.shard.partition import Partition
 
 __all__ = [
@@ -455,26 +463,19 @@ class StitchPlanner:
 class Stitcher:
     """Wave-routing engine over a partitioned substrate.
 
-    Owns the batch drivers and the routing statistics; corridor
+    Owns the batch driver and the routing statistics; corridor
     *selection* (contracted routes, regions, adaptive widening) is
-    delegated to a :class:`StitchPlanner` (``self.planner``).
+    the job of a :class:`StitchPlanner` (``self.planner``).  *kernel*
+    is the loaded C library, or ``None`` for the Python driver.
     """
 
     def __init__(
-        self, state: ClusterState, partition: Partition, config: HMNConfig
+        self, state: ClusterState, partition: Partition, kernel: "ctypes.CDLL | None"
     ) -> None:
         self.state = state
-        self.partition = partition
-        self.config = config
         self.topo = state.topology
         self.planner = StitchPlanner(state, partition)
-        self.node_group = self.planner.node_group
-        self.n_groups = self.planner.n_groups
-        self.kernel = (
-            load_stitch_kernel()
-            if config.extra.get("stitch_kernel", True)
-            else None
-        )
+        self.kernel = kernel
         self.stats = {
             "waves": 0,
             "links_routed": 0,
@@ -484,16 +485,6 @@ class Stitcher:
             "stitch_pops": 0,
             "stitch_kernel": self.kernel is not None,
         }
-
-    # -- planner delegation (stable public surface) -------------------
-    def contracted_route(self, ga: int, gb: int) -> tuple[int, ...] | None:
-        return self.planner.contracted_route(ga, gb)
-
-    def region_for(self, route: tuple[int, ...]) -> Region:
-        return self.planner.region_for(route)
-
-    def full_region(self) -> Region:
-        return self.planner.full_region()
 
     # -- wave routing -------------------------------------------------
     def _drive(self, region: Region, bw, src, dst, need, bound):
@@ -561,6 +552,7 @@ def stitch_networking(
     venv: VirtualEnvironment,
     config: HMNConfig,
     partition: Partition,
+    cache: RoutingCache | None = None,
 ) -> tuple[dict[VLinkKey, tuple[NodeId, ...]], dict]:
     """Networking stage of the sharded mapper (drop-in for
     :func:`repro.hmn.networking.run_networking`'s return shape).
@@ -572,9 +564,14 @@ def stitch_networking(
     every wave has settled.  Raises
     :class:`~repro.errors.RoutingError` only when even the full graph
     has no feasible path — the same heuristic-failure contract as the
-    monolithic stage.
+    monolithic stage.  *cache* picks the batch driver
+    (:meth:`~repro.routing.cache.RoutingCache.batch_kernel`); a fresh
+    :class:`~repro.routing.cache.RoutingCache` is used when omitted.
     """
-    stitcher = Stitcher(state, partition, config)
+    if cache is None:
+        cache = RoutingCache(state.cluster)
+    stitcher = Stitcher(state, partition, cache.batch_kernel())
+    planner = stitcher.planner
     paths: dict[VLinkKey, tuple[NodeId, ...]] = {}
     retries: list = []  # (link, src_host, dst_host)
 
@@ -588,9 +585,9 @@ def stitch_networking(
             paths[link.key] = (a,)
             stitcher.stats["links_colocated"] += 1
             continue
-        ga = int(stitcher.node_group[stitcher.topo.node_index[a]])
-        gb = int(stitcher.node_group[stitcher.topo.node_index[b]])
-        route = stitcher.contracted_route(ga, gb)
+        ga = int(planner.node_group[stitcher.topo.node_index[a]])
+        gb = int(planner.node_group[stitcher.topo.node_index[b]])
+        route = planner.contracted_route(ga, gb)
         if route is None:
             retries.append((link, a, b))
             continue
@@ -606,7 +603,7 @@ def stitch_networking(
     rec = obs.OBS
     dry_waves: list[tuple[tuple[int, ...], list]] = []
     for route, bucket in order:
-        region = stitcher.region_for(route)
+        region = planner.region_for(route)
         with rec.span(
             "shard.wave",
             route_len=len(route),
@@ -633,11 +630,11 @@ def stitch_networking(
     # the escalation sequence is a deterministic function of the
     # workload.
     for route, dry in dry_waves:
-        wide = stitcher.planner.widen(route)
+        wide = planner.widen(route)
         if wide is None or set(wide) == set(route):
             retries.extend(dry)
             continue
-        region = stitcher.region_for(wide)
+        region = planner.region_for(wide)
         with rec.span(
             "shard.corridor_widen",
             route_len=len(route),
@@ -669,7 +666,7 @@ def stitch_networking(
             sum(link.vbw for link, _, _ in retries),
         )
         retries.sort(key=lambda t: (-t[0].vbw, t[0].key))
-        region = stitcher.full_region()
+        region = planner.full_region()
         with rec.span("shard.wave", route_len=0, links=len(retries), fallback=True):
             routed = stitcher.route_wave(
                 region, [(a, b, link.vbw, link.vlat) for link, a, b in retries]

@@ -192,6 +192,11 @@ class TestKeywordOnlyConfigs:
         with pytest.raises(ConfigError, match="unknown HMNConfig option"):
             api.HMNConfig(engine="compiled")
 
+    def test_hmnconfig_has_no_extra_option(self):
+        # The stitch kernel is chosen by the routing cache, not a config.
+        with pytest.raises(ConfigError, match="unknown HMNConfig option"):
+            api.HMNConfig(extra={})
+
     @pytest.mark.parametrize("engine", ["compiled", "dict"])
     def test_hmnconfig_from_dict_drops_legacy_engine(self, engine):
         legacy = {**api.HMNConfig(seed=3).describe(), "engine": engine}

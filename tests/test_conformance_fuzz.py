@@ -64,20 +64,15 @@ class TestShardedArms:
         assert report.n_sharded == 4
 
     def test_stitch_kernel_divergence_detected(self, monkeypatch):
-        """A kernel-off arm that fails where the kernel-on arm maps must
-        surface as a hard stitch-kernel divergence."""
-        from repro.errors import PlacementError
+        """A reference stitch router that fails where the production one
+        maps must surface as a hard stitch-kernel divergence."""
 
-        real = fuzz_mod.hmn_map
+        class Stitchless(ReferenceRoutingCache):
+            def batch_kernel(self):
+                raise RoutingError(("a", "b"), "sabotage")
 
-        def broken(cluster, venv, config=None, **kwargs):
-            config = config if config is not None else HMNConfig()
-            if config.extra.get("stitch_kernel") is False:
-                raise PlacementError(99, "injected kernel-off failure")
-            return real(cluster, venv, config, **kwargs)
-
-        monkeypatch.setattr(fuzz_mod, "hmn_map", broken)
-        # shard seed 0 is unmappable either way; seed 1 maps kernel-on.
+        monkeypatch.setattr(fuzz_mod, "ReferenceRoutingCache", Stitchless)
+        # shard seed 0 is unmappable either way; seed 1 maps in production.
         report = run_fuzz(0, runner_grids=0, shard_seeds=2)
         assert report.n_sharded == 2
         assert "stitch-kernel-feasibility" in {d.check for d in report.divergences}

@@ -12,7 +12,7 @@ import os
 import pytest
 
 from repro import api
-from repro.conformance import digest
+from repro.conformance import ReferenceRoutingCache, digest
 from repro.core.state import ClusterState
 from repro.core.validate import validate_mapping
 from repro.errors import ConfigError
@@ -31,9 +31,9 @@ def _instance(k=4, n_guests=28, seed=7):
     return cluster, venv
 
 
-def _map_digest(cluster, venv, **overrides):
+def _map_digest(cluster, venv, cache=None, **overrides):
     config = HMNConfig(shard=4, **overrides)
-    mapping = hmn_map(cluster, venv, config)
+    mapping = hmn_map(cluster, venv, config, cache=cache)
     return digest(cluster, venv, mapping), mapping
 
 
@@ -141,10 +141,10 @@ class TestParallelDigestIdentity:
     def test_byte_identical_without_kernel(self):
         cluster, venv = _instance()
         d_serial, _ = _map_digest(
-            cluster, venv, shard_workers=1, extra={"stitch_kernel": False}
+            cluster, venv, ReferenceRoutingCache(cluster), shard_workers=1
         )
         d_par, m_par = _map_digest(
-            cluster, venv, shard_workers=2, extra={"stitch_kernel": False}
+            cluster, venv, ReferenceRoutingCache(cluster), shard_workers=2
         )
         assert d_par == d_serial
         assert m_par.meta["shard"]["stitch_kernel"] is False

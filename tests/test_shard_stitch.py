@@ -20,8 +20,10 @@ from repro.core import (
     VirtualEnvironment,
     VirtualLink,
 )
-from repro.hmn import HMNConfig
-from repro.shard import partition_cluster
+from repro.conformance import ReferenceRoutingCache, digest
+from repro.hmn import HMNConfig, hmn_map
+from repro.routing.cache import RoutingCache
+from repro.shard import partition_cluster, stitch as stitch_mod
 from repro.shard._kernel import load_stitch_kernel
 from repro.shard.stitch import (
     Stitcher,
@@ -32,6 +34,7 @@ from repro.shard.stitch import (
 )
 from repro.topology import switched_cluster, torus_cluster
 from repro.topology.fattree import fat_tree_cluster
+from repro.workload import LOW_LEVEL, generate_virtual_environment
 
 KERNEL = load_stitch_kernel()
 needs_kernel = pytest.mark.skipif(KERNEL is None, reason="no C compiler available")
@@ -225,13 +228,13 @@ class TestStitcher:
         cluster = fat_tree_cluster(4, seed=0)
         part = partition_cluster(cluster)
         state = ClusterState(cluster)
-        stitcher = Stitcher(state, part, HMNConfig())
-        route = stitcher.contracted_route(0, 2)
+        planner = Stitcher(state, part, KERNEL).planner
+        route = planner.contracted_route(0, 2)
         # pod -> core spine class -> pod (no pod-to-pod links exist)
         assert len(route) == 3
         assert route[0] == 0 and route[-1] == 2
         assert route[1] >= part.n_pods  # a spine class id
-        region = stitcher.region_for(route)
+        region = planner.region_for(route)
         # Corridor holds both pods' hosts+switches plus all cores.
         per_pod_nodes = cluster.n_hosts // 4 + 4  # 4 hosts + 2 edge + 2 agg
         assert region.n_nodes == 2 * per_pod_nodes + 4
@@ -239,9 +242,9 @@ class TestStitcher:
     def test_route_reversal_is_consistent(self):
         cluster = fat_tree_cluster(4, seed=0)
         part = partition_cluster(cluster)
-        stitcher = Stitcher(ClusterState(cluster), part, HMNConfig())
-        ab = stitcher.contracted_route(1, 3)
-        ba = stitcher.contracted_route(3, 1)
+        planner = Stitcher(ClusterState(cluster), part, KERNEL).planner
+        ab = planner.contracted_route(1, 3)
+        ba = planner.contracted_route(3, 1)
         assert ab == tuple(reversed(ba))
 
 
@@ -359,20 +362,49 @@ class TestStitchNetworking:
         assert stats["links_colocated"] == 1
         assert state.residual_bw(0, 1) == pytest.approx(100.0)
 
-    def test_stitch_kernel_toggle_in_extra(self):
+    def test_stitch_kernel_chosen_by_cache(self):
         cluster = fat_tree_cluster(4, seed=5)
         part = partition_cluster(cluster)
         venv = _two_guest_venv(vbw=1.0, vlat=60.0)
         results = []
-        for use_kernel in (True, False):
+        for cache in (RoutingCache(cluster), ReferenceRoutingCache(cluster)):
             state = ClusterState(cluster)
             state.place(venv.guest(0), cluster.host_ids[0])
             state.place(venv.guest(1), cluster.host_ids[-1])
-            config = HMNConfig(extra={"stitch_kernel": use_kernel})
-            paths, stats = stitch_networking(state, venv, config, part)
-            if use_kernel:
-                assert stats["stitch"]["stitch_kernel"] == (KERNEL is not None)
-            else:
-                assert stats["stitch"]["stitch_kernel"] is False
+            paths, stats = stitch_networking(state, venv, HMNConfig(), part, cache)
+            reference = isinstance(cache, ReferenceRoutingCache)
+            assert stats["stitch"]["stitch_kernel"] == (KERNEL is not None and not reference)
             results.append(paths)
         assert results[0] == results[1]
+
+
+class TestReferenceCacheOnShardedPath:
+    """``hmn_map(cache=ReferenceRoutingCache(...))`` reaches the stitch
+    router on both sharded branches: it runs the Python batch driver,
+    and the mapping digests equal the default run's."""
+
+    @pytest.mark.parametrize("redundancy", [0, 1], ids=["plain", "redundant"])
+    def test_reference_cache_runs_python_stitch(self, redundancy, monkeypatch):
+        cluster = fat_tree_cluster(4, seed=7, lat=1.0)
+        venv = generate_virtual_environment(
+            28, workload=LOW_LEVEL, density=2.4 / 27, seed=7
+        )
+        config = HMNConfig(shard=4, redundancy=redundancy)
+        py_calls = []
+        real_py = stitch_mod._route_batch_py
+
+        def spy(*args):
+            py_calls.append(args)
+            return real_py(*args)
+
+        monkeypatch.setattr(stitch_mod, "_route_batch_py", spy)
+        ref = hmn_map(cluster, venv, config, cache=ReferenceRoutingCache(cluster))
+        assert py_calls
+        assert ref.meta["shard"]["stitch_kernel"] is False
+
+        n_ref = len(py_calls)
+        default = hmn_map(cluster, venv, config)
+        assert default.meta["shard"]["stitch_kernel"] is (KERNEL is not None)
+        if KERNEL is not None:
+            assert len(py_calls) == n_ref  # production ran the C kernel only
+        assert digest(cluster, venv, ref) == digest(cluster, venv, default)
