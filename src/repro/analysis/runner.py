@@ -16,29 +16,29 @@ environment.
 
 Execution: cells are expanded into picklable :class:`CellSpec` work
 items and handed to a :class:`BatchRunner`, which either runs them
-serially (``workers=1``) or fans them out one process per cell and
-merges the completed records back into the deterministic cell order by
-their ``(base seed, scenario, rep, cluster, mapper)`` key — so a
-parallel sweep returns byte-for-byte the same records as a serial one,
-modulo wall-clock fields.
+serially (``workers=1``) or fans them out over the library's one
+crash-tolerant :class:`~repro._workers.WorkerPool` (persistent worker
+processes, one pool per :meth:`BatchRunner.run`) and returns the
+records in the deterministic cell order — so a parallel sweep returns
+byte-for-byte the same records as a serial one, modulo wall-clock
+fields.
 
-Fault tolerance: a cell that crashes its worker process, raises an
-unexpected exception, or exceeds the per-cell ``timeout`` is retried a
-capped number of times and then filed as an ``ok=False`` record
-carrying ``RetriesExhaustedError:<reason>`` — one bad cell can no
-longer kill the whole grid.
+Fault tolerance is the pool's one retry rule: a cell that crashes its
+worker process, raises an unexpected exception, or exceeds the per-cell
+``timeout`` is retried a capped number of times and then filed as an
+``ok=False`` record carrying ``RetriesExhaustedError:<reason>`` — one
+bad cell can no longer kill the whole grid.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping as TMapping, Sequence
 
 from repro import obs
-from repro._procenv import env_cell_retries, env_cell_timeout
+from repro._workers import Outcome, WorkerPool, resolve_budget
 from repro.baselines.registry import get_mapper
 from repro.core.cluster import PhysicalCluster
 from repro.core.validate import validate_mapping
@@ -234,43 +234,13 @@ class CellSpec:
         )
 
 
-def _execute_spec(spec: CellSpec) -> tuple[tuple, RunRecord]:
-    """Top-level worker (picklable) for worker processes."""
-    return spec.key, spec.execute()
+def _execute_cell(specs: Sequence[CellSpec], index: int) -> RunRecord:
+    """Worker-pool task function: run cell *index* of the batch.
 
-
-def _cell_worker(conn, spec: CellSpec, trace: bool = False) -> None:
-    """Process-per-cell entry point: run the cell, pipe back the outcome.
-
-    An in-cell exception is reported as data (the parent decides about
-    retries); a hard crash (``os._exit``, segfault, OOM kill) leaves
-    the pipe empty and is detected by the parent via the process
-    sentinel.
-
-    With *trace* on (the parent's recorder was enabled at spawn time),
-    the cell runs under a private :class:`~repro.obs.trace.Tracer` and
-    its finished span list rides back on the pipe with the outcome;
-    the parent merges it into the session trace in deterministic cell
-    order, never completion order.
+    The batch is the pool's fixed context, so a fork-started worker
+    inherits every spec and only an index crosses the pipe per cell.
     """
-    tracer = obs.Tracer() if trace else None
-    if tracer is not None:
-        obs.set_recorder(tracer)
-    spans = lambda: tracer.spans if tracer is not None else []  # noqa: E731
-    try:
-        record = spec.execute()
-        conn.send(("ok", record, spans()))
-    except Exception as exc:
-        conn.send(("error", f"{type(exc).__name__}: {exc}", spans()))
-    finally:
-        conn.close()
-
-
-# REPRO_CELL_TIMEOUT / REPRO_CELL_RETRIES parsing is shared with the
-# sharded pipeline's pod workers (repro.shard.parallel) — one budget
-# discipline for every crash-tolerant worker process in the library.
-_env_timeout = env_cell_timeout
-_env_retries = env_cell_retries
+    return specs[index].execute()
 
 
 def _error_record(spec: CellSpec, reason: str) -> RunRecord:
@@ -285,18 +255,6 @@ def _error_record(spec: CellSpec, reason: str) -> RunRecord:
     )
 
 
-@dataclass
-class _Job:
-    """One in-flight cell attempt in the process scheduler."""
-
-    index: int
-    spec: CellSpec
-    attempt: int
-    proc: object
-    conn: object
-    deadline: float | None
-
-
 class BatchRunner:
     """Executes a batch of :class:`CellSpec` work items, optionally in
     parallel, tolerating crashed and hung cells.
@@ -307,14 +265,14 @@ class BatchRunner:
         ``1`` (default) runs everything serially in-process — no
         subprocess, no pickling, bit-identical to the historical serial
         runner (unless a *timeout* forces the preemptible path, below).
-        ``> 1`` runs up to that many cells concurrently, **one process
-        per cell**; cells are fully independent (per-cell derived
-        seeding, no shared stream state), so the records are identical
-        to a serial run except for wall-clock fields, which measure the
-        same work under whatever CPU contention the fan-out creates.
-        A worker that dies takes only its own cell down, never the
-        batch (the process-pool it replaces failed the whole grid on a
-        single ``BrokenProcessPool``).
+        ``> 1`` runs up to that many cells concurrently on persistent
+        worker processes, started per :meth:`run` call; cells are fully
+        independent (per-cell derived seeding, no shared stream state),
+        so the records are identical to a serial run except for
+        wall-clock fields, which measure the same work under whatever
+        CPU contention the fan-out creates.  A worker that dies takes
+        only its own cell attempt down, never the batch: it is
+        replaced and the cell retried.
     progress:
         Optional callback invoked with each finished
         :class:`RunRecord` — in submission order when serial, in
@@ -324,8 +282,8 @@ class BatchRunner:
         ``REPRO_CELL_TIMEOUT`` environment variable, unset/non-positive
         meaning no limit).  Any timeout — even with ``workers=1`` —
         routes cells through worker processes, since an in-process cell
-        cannot be preempted; a cell past its deadline is terminated and
-        counts as a failed attempt.
+        cannot be preempted; a cell past its deadline has its worker
+        terminated and replaced, and counts as a failed attempt.
     retries:
         How many times a crashed/hung/raising cell is re-attempted
         before an error record is filed (default: the
@@ -333,10 +291,9 @@ class BatchRunner:
         record reuses :class:`~repro.errors.RetriesExhaustedError` as
         its failure label: ``RetriesExhaustedError:<reason>``.
 
-    Results are merged deterministically: each record is filed under
-    its spec's ``(base seed, scenario, rep, cluster, mapper)`` key and
-    the output list follows the input spec order, never the completion
-    order.  Duplicate keys are rejected up front on every path.
+    The output list follows the input spec order, never the completion
+    order.  Duplicate ``(base seed, scenario, rep, cluster, mapper)``
+    keys are rejected up front on every path.
     """
 
     __slots__ = ("workers", "progress", "timeout", "retries")
@@ -351,18 +308,9 @@ class BatchRunner:
     ) -> None:
         if workers < 1:
             raise ModelError(f"workers must be >= 1, got {workers}")
-        if timeout is None:
-            timeout = _env_timeout()
-        elif timeout <= 0:
-            raise ModelError(f"timeout must be positive, got {timeout}")
-        if retries is None:
-            retries = _env_retries()
-        if retries < 0:
-            raise ModelError(f"retries must be non-negative, got {retries}")
         self.workers = workers
         self.progress = progress
-        self.timeout = timeout
-        self.retries = retries
+        self.timeout, self.retries = resolve_budget(timeout, retries)
 
     def run(self, specs: Sequence[CellSpec]) -> list[RunRecord]:
         """Execute all *specs*, returning records in spec order."""
@@ -374,9 +322,9 @@ class BatchRunner:
         with obs.OBS.span(
             "batch.run", n_cells=len(specs), workers=self.workers, retries=self.retries
         ):
-            if self.workers == 1 and self.timeout is None:
+            if not specs or (self.workers == 1 and self.timeout is None):
                 return self._run_serial(specs)
-            return self._run_processes(specs)
+            return self._run_pool(specs)
 
     def _cell_attrs(self, spec: CellSpec, attempt: int) -> dict:
         return {
@@ -412,124 +360,31 @@ class BatchRunner:
         return records
 
     # ------------------------------------------------------------------
-    # process-per-cell path (parallel and/or preemptible)
+    # worker-pool path (parallel and/or preemptible)
     # ------------------------------------------------------------------
-    def _spawn(self, ctx, index: int, spec: CellSpec, attempt: int) -> _Job:
-        recv_conn, send_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_cell_worker, args=(send_conn, spec, obs.OBS.enabled), daemon=True
-        )
-        proc.start()
-        send_conn.close()  # parent's copy; the child holds the live end
-        deadline = time.monotonic() + self.timeout if self.timeout is not None else None
-        return _Job(index, spec, attempt, proc, recv_conn, deadline)
+    def _run_pool(self, specs: list[CellSpec]) -> list[RunRecord]:
+        records: list[RunRecord | None] = [None] * len(specs)
 
-    def _reap(self, job: _Job) -> None:
-        job.proc.join(timeout=1.0)
-        if job.proc.is_alive():
-            job.proc.terminate()
-            job.proc.join()
-        job.conn.close()
-
-    def _run_processes(self, specs: list[CellSpec]) -> list[RunRecord]:
-        import multiprocessing as mp
-        from multiprocessing.connection import wait as mp_wait
-
-        ctx = mp.get_context()
-        results: list[RunRecord | None] = [None] * len(specs)
-        queue: deque[tuple[int, CellSpec, int]] = deque(
-            (i, spec, 0) for i, spec in enumerate(specs)
-        )
-        running: list[_Job] = []
-        # Worker span lists keyed by cell index, one entry per attempt:
-        # (attempt, worker pid, record ok, error label, spans).  Merged
-        # into the parent trace *after* the scheduling loop, in cell
-        # order — the trace is a function of the workload, not of
-        # completion order.
-        attempts: dict[int, list[tuple[int, int, bool, str | None, list]]] = {}
-
-        def log_attempt(job: _Job, ok: bool, error: str | None, spans: list) -> None:
-            attempts.setdefault(job.index, []).append(
-                (job.attempt, job.proc.pid, ok, error, spans)
+        def settle(index: int, outcome: Outcome) -> None:
+            records[index] = (
+                outcome.value if outcome.ok else _error_record(specs[index], outcome.value)
             )
-
-        def finish(job: _Job, record: RunRecord) -> None:
-            results[job.index] = record
             if self.progress is not None:
-                self.progress(record)
+                self.progress(records[index])
 
-        def attempt_failed(job: _Job, reason: str) -> None:
-            if job.attempt < self.retries:
-                queue.append((job.index, job.spec, job.attempt + 1))
-            else:
-                finish(job, _error_record(job.spec, reason))
-
-        try:
-            while queue or running:
-                while queue and len(running) < self.workers:
-                    index, spec, attempt = queue.popleft()
-                    running.append(self._spawn(ctx, index, spec, attempt))
-
-                now = time.monotonic()
-                wait_for: float | None = None
-                if self.timeout is not None:
-                    wait_for = max(
-                        min(job.deadline for job in running) - now, 0.0
-                    )
-                # A readable pipe means a result (or an in-cell error);
-                # a readable sentinel alone means the worker died cold.
-                ready = set(
-                    mp_wait(
-                        [job.conn for job in running]
-                        + [job.proc.sentinel for job in running],
-                        wait_for,
-                    )
-                )
-                now = time.monotonic()
-                still_running: list[_Job] = []
-                for job in running:
-                    if job.conn in ready:
-                        try:
-                            outcome = job.conn.recv()
-                        except EOFError:
-                            outcome = None
-                        self._reap(job)
-                        if outcome is None:
-                            log_attempt(job, False, "WorkerCrash", [])
-                            attempt_failed(
-                                job, f"WorkerCrash(exitcode={job.proc.exitcode})"
-                            )
-                        elif outcome[0] == "ok":
-                            log_attempt(job, outcome[1].ok, None, outcome[2])
-                            finish(job, outcome[1])
-                        else:
-                            log_attempt(
-                                job, False, outcome[1].split(":")[0], outcome[2]
-                            )
-                            attempt_failed(job, outcome[1])
-                    elif job.proc.sentinel in ready and not job.conn.poll():
-                        self._reap(job)
-                        log_attempt(job, False, "WorkerCrash", [])
-                        attempt_failed(
-                            job, f"WorkerCrash(exitcode={job.proc.exitcode})"
-                        )
-                    elif job.deadline is not None and now >= job.deadline:
-                        job.proc.terminate()
-                        self._reap(job)
-                        log_attempt(job, False, "Timeout", [])
-                        attempt_failed(job, f"Timeout({self.timeout:g}s)")
-                    else:
-                        still_running.append(job)
-                running = still_running
-        finally:
-            for job in running:
-                job.proc.terminate()
-                self._reap(job)
-        self._merge_traces(specs, attempts)
-        return results
+        with WorkerPool(
+            _execute_cell,
+            (specs,),
+            min(self.workers, len(specs)),
+            timeout=self.timeout,
+            retries=self.retries,
+        ) as pool:
+            outcomes = pool.run(range(len(specs)), on_done=settle)
+        self._merge_traces(specs, records, outcomes)
+        return records
 
     def _merge_traces(
-        self, specs: list[CellSpec], attempts: dict[int, list[tuple[int, int, str, list]]]
+        self, specs: list[CellSpec], records: list[RunRecord], outcomes: list[Outcome]
     ) -> None:
         """Adopt worker spans into the parent trace, cell by cell.
 
@@ -541,13 +396,11 @@ class BatchRunner:
         rec = obs.OBS
         if not rec.enabled:
             return
-        for index, spec in enumerate(specs):
-            for attempt, pid, ok, error, spans in sorted(
-                attempts.get(index, ()), key=lambda a: a[0]
-            ):
+        for spec, record, outcome in zip(specs, records, outcomes):
+            for attempt, pid, error, spans in outcome.attempts:
                 with rec.span(
                     "batch.cell",
-                    ok=ok,
+                    ok=record.ok if error is None else False,
                     worker_pid=pid,
                     **self._cell_attrs(spec, attempt),
                     **({} if error is None else {"error": error}),

@@ -22,7 +22,7 @@ leave open.
 
 from __future__ import annotations
 
-from typing import Hashable
+from typing import Hashable, Mapping as TMapping, Sequence
 
 from repro.core.guest import Guest
 from repro.core.state import ClusterState
@@ -64,49 +64,62 @@ def plan_replicas(
     state: ClusterState,
     venv: VirtualEnvironment,
     k: int,
+    have: TMapping[int, Sequence[tuple[int, NodeId]]] | None = None,
 ) -> tuple[dict[int, list[tuple[int, NodeId]]], dict]:
-    """Place ``k`` standby replicas per guest of *venv* (best-effort).
+    """Place standby replicas until every guest of *venv* has ``k``
+    (best-effort).
+
+    *have* optionally gives each guest's surviving ``(replica_id,
+    host)`` list — the chaos operator's top-up after a failover spent
+    some; new replicas take the guest's free replica indices, lowest
+    first, and avoid the hosts and domains of the primary and every
+    surviving replica.
 
     Mutates *state* (replica placements consume memory/storage).
-    Returns ``(replicas, stats)``: ``replicas[guest_id]`` lists
-    ``(replica_id, host)`` in replica order; *stats* counts strict /
-    relaxed / uncovered placements.  Guests whose replicas found no
-    host at all are simply absent some entries — redundancy degrades,
-    it never fails the mapping.
+    Returns ``(replicas, stats)``: ``replicas[guest_id]`` lists the
+    guest's surviving then new ``(replica_id, host)`` pairs; *stats*
+    counts strict / relaxed / uncovered placements.  Guests left with
+    no replica at all are absent — redundancy degrades, it never fails
+    the mapping.
     """
+    have = have or {}
     domains = state.failure_domains
     replicas: dict[int, list[tuple[int, NodeId]]] = {}
     strict = relaxed = uncovered = 0
     for gid in sorted(venv.guest_ids):
-        guest = venv.guest(gid)
-        primary = state.host_of(gid)
-        used_hosts = {primary}
-        used_domains = {domains.domain_of(primary)}
-        placed: list[tuple[int, NodeId]] = []
-        order = state.cpu.hosts_by_residual_descending()
-        for index in range(k):
-            stand_in = replica_guest(guest, index)
-            choice = None
-            for h in order:
-                if h in used_hosts or not state.fits(stand_in, h):
-                    continue
-                if domains.domain_of(h) not in used_domains:
-                    choice = (h, True)
-                    break
+        placed = list(have.get(gid, ()))
+        if len(placed) < k:
+            guest = venv.guest(gid)
+            used_hosts = {state.host_of(gid)} | {h for _rid, h in placed}
+            used_domains = {domains.domain_of(h) for h in used_hosts}
+            used_idx = {(-rid - 1) - gid * REPLICA_STRIDE for rid, _h in placed}
+            free_idx = (i for i in range(REPLICA_STRIDE) if i not in used_idx)
+            order = state.cpu.hosts_by_residual_descending()
+            while len(placed) < k:
+                # Every index shares the guest's footprint: when one finds
+                # no host, none of the remaining ones can.
+                stand_in = replica_guest(guest, next(free_idx))
+                choice = None
+                for h in order:
+                    if h in used_hosts or not state.fits(stand_in, h):
+                        continue
+                    if domains.domain_of(h) not in used_domains:
+                        choice = (h, True)
+                        break
+                    if choice is None:
+                        choice = (h, False)
                 if choice is None:
-                    choice = (h, False)
-            if choice is None:
-                uncovered += 1
-                continue
-            host, was_strict = choice
-            state.place(stand_in, host)
-            placed.append((stand_in.id, host))
-            used_hosts.add(host)
-            used_domains.add(domains.domain_of(host))
-            if was_strict:
-                strict += 1
-            else:
-                relaxed += 1
+                    uncovered += k - len(placed)
+                    break
+                host, was_strict = choice
+                state.place(stand_in, host)
+                placed.append((stand_in.id, host))
+                used_hosts.add(host)
+                used_domains.add(domains.domain_of(host))
+                if was_strict:
+                    strict += 1
+                else:
+                    relaxed += 1
         if placed:
             replicas[gid] = placed
     return replicas, {

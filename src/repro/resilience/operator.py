@@ -68,7 +68,7 @@ from repro.errors import CapacityError, RoutingError
 from repro.hmn.config import HMNConfig, keyword_only
 from repro.hmn.pipeline import hmn_map
 from repro.redundancy.ledger import BackupLedger
-from repro.redundancy.placement import REPLICA_STRIDE, replica_guest
+from repro.redundancy.placement import plan_replicas
 from repro.redundancy.stage import risks_of_path
 from repro.resilience.faults import FailureModel, FaultEvent
 from repro.resilience.transactions import joint_transaction
@@ -556,43 +556,11 @@ class ChaosOperator:
 
     def _replenish_replicas(self, rec: Tenant) -> None:
         """Best-effort top-up back to ``k`` standbys per guest after a
-        failover consumed some (anti-affinity rules as at admission)."""
+        failover consumed some (the admission-time placement rule)."""
         k = self.config.redundancy
-        if k <= 0:
-            return
-        state = self._state
-        domains = state.failure_domains
-        for gid in sorted(rec.venv.guest_ids):
-            have = rec.replicas.get(gid, [])
-            if len(have) >= k:
-                continue
-            guest = rec.venv.guest(gid)
-            primary = state.host_of(gid)
-            used_hosts = {primary} | {h for _rid, h in have}
-            used_domains = {domains.domain_of(h) for h in used_hosts}
-            used_idx = {(-rid - 1) - gid * REPLICA_STRIDE for rid, _h in have}
-            free_idx = [i for i in range(REPLICA_STRIDE) if i not in used_idx]
-            order = state.cpu.hosts_by_residual_descending()
-            while len(have) < k and free_idx:
-                stand_in = replica_guest(guest, free_idx[0])
-                choice = None
-                for h in order:
-                    if h in used_hosts or not state.fits(stand_in, h):
-                        continue
-                    if domains.domain_of(h) not in used_domains:
-                        choice = h
-                        break
-                    if choice is None:
-                        choice = h
-                if choice is None:
-                    break
-                free_idx.pop(0)
-                state.place(stand_in, choice)
-                have.append((stand_in.id, choice))
-                used_hosts.add(choice)
-                used_domains.add(domains.domain_of(choice))
-            if have:
-                rec.replicas[gid] = have
+        if k > 0:
+            replicas, _stats = plan_replicas(self._state, rec.venv, k, rec.replicas)
+            rec.replicas.update(replicas)
 
     def _failover_tenant(
         self, now: float, tenant: int, broken_edges: frozenset[EdgeKey]

@@ -13,15 +13,16 @@ module exploits that:
   **once** per ``shard_map`` call.  Workers read pod rows straight out
   of the segment; per-task payloads stay at "a few index arrays", not
   "the cluster".
-* :class:`PodPool` keeps a persistent set of worker processes for the
-  duration of the map call and schedules per-pod tasks over them with
-  the BatchRunner's crash-tolerance discipline (PR 3): per-task
-  deadlines (``REPRO_CELL_TIMEOUT``), capped re-attempts on a crashed
-  or hung worker (``REPRO_CELL_RETRIES``), and — because a pod task is
-  a pure function of the published substrate — a final **inline**
-  fallback in the parent that is byte-identical to what the worker
-  would have produced.  A dying worker can therefore slow a mapping
-  down, but never change it and never fail it.
+* :class:`PodPool` is a thin client of the library's one crash-tolerant
+  :class:`~repro._workers.WorkerPool`, started once per ``shard_map``
+  call with the substrate as fixed context.  Pod workers follow that
+  pool's one rule: per-task deadlines (``REPRO_CELL_TIMEOUT``), and a
+  crashed, hung or raising attempt re-tried up to
+  ``REPRO_CELL_RETRIES`` times.  Because a pod task is a pure function
+  of the published substrate, a task that exhausts its attempts runs
+  **inline** in the parent, byte-identical to what the worker would
+  have produced.  A dying worker can therefore slow a mapping down,
+  but never change it and never fail it.
 
 **Determinism is the contract.**  Workers never touch shared residuals;
 they return their pod's placement/move log and the parent replays it
@@ -30,8 +31,8 @@ path's order — so the mapping digest is byte-identical for any worker
 count (pinned by the golden corpus, ``tests/test_shard_parallel.py``,
 and a conformance fuzzer arm).
 
-With tracing enabled, each worker records its task under a private
-:class:`~repro.obs.trace.Tracer` and ships the finished span list back
+With tracing enabled, each task runs under a fresh worker-side
+:class:`~repro.obs.trace.Tracer` and ships its finished span list back
 with the result; the parent adopts them in pod-id order, so a parallel
 trace holds the same ``shard.pod`` span multiset as a serial one.
 """
@@ -39,14 +40,12 @@ trace holds the same ``shard.pod`` span multiset as a serial one.
 from __future__ import annotations
 
 import os
-import time
-from collections import deque
 from typing import Hashable, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro._procenv import env_cell_retries, env_cell_timeout
+from repro._workers import WorkerPool, resolve_budget
 from repro.errors import ConfigError, ModelError
 from repro.hmn.config import HMNConfig
 from repro.shard.vectorized import PodState, pod_hosting, pod_migration
@@ -54,12 +53,6 @@ from repro.shard.vectorized import PodState, pod_hosting, pod_migration
 __all__ = ["SharedSubstrate", "PodPool", "resolve_shard_workers"]
 
 NodeId = Hashable
-
-#: Test hook: ``REPRO_SHARD_TEST_CRASH="<kind>:<pod>"`` makes every
-#: worker hard-exit when it receives that task, exercising the
-#: crash -> retry -> inline-fallback path end to end.  The parent's
-#: inline execution ignores the hook, so the mapping still succeeds.
-_CRASH_ENV = "REPRO_SHARD_TEST_CRASH"
 
 
 def resolve_shard_workers(workers: "int | str", n_pods: int) -> int:
@@ -262,50 +255,37 @@ def _run_task(
     raise ModelError(f"unknown pod task kind {kind!r}")
 
 
-def _pod_worker(conn, substrate, venv, config, host_ids, trace: bool) -> None:
-    """Persistent worker loop: receive tasks, send outcomes, until the
-    ``None`` shutdown sentinel or a closed pipe."""
-    tracer = obs.Tracer() if trace else None
-    if tracer is not None:
-        obs.set_recorder(tracer)
-    try:
-        while True:
-            try:
-                task = conn.recv()
-            except EOFError:
-                break
-            if task is None:
-                break
-            if os.environ.get(_CRASH_ENV) == f"{task[0]}:{task[1]}":
-                os._exit(23)
-            mark = len(tracer.spans) if tracer is not None else 0
-            spans = lambda: tracer.spans[mark:] if tracer is not None else []  # noqa: E731
-            try:
-                payload = _run_task(substrate, venv, config, host_ids, task)
-                conn.send(("ok", task[1], payload, spans()))
-            except Exception as exc:
-                conn.send(("error", task[1], f"{type(exc).__name__}: {exc}", spans()))
-    finally:
-        conn.close()
+def _pod_task(
+    substrate: SharedSubstrate,
+    venv,
+    config: HMNConfig,
+    host_ids: Sequence[NodeId],
+    task: tuple,
+):
+    """The worker pool's task function: :func:`_run_task` in a worker.
 
-
-class _Worker:
-    __slots__ = ("proc", "conn")
-
-    def __init__(self, proc, conn) -> None:
-        self.proc = proc
-        self.conn = conn
+    Test hook: ``REPRO_SHARD_TEST_CRASH="<kind>:<pod>"`` makes the
+    worker hard-exit on that task, exercising the crash -> retry ->
+    inline-fallback path end to end.  Only workers run this function;
+    the parent's inline run calls :func:`_run_task` directly, so the
+    mapping still succeeds.
+    """
+    if os.environ.get("REPRO_SHARD_TEST_CRASH") == f"{task[0]}:{task[1]}":
+        os._exit(23)
+    return _run_task(substrate, venv, config, host_ids, task)
 
 
 # ----------------------------------------------------------------------
 # the pool
 # ----------------------------------------------------------------------
 class PodPool:
-    """A persistent, crash-tolerant pool of pod-stage workers.
+    """The pod-stage client of :class:`~repro._workers.WorkerPool`.
 
     Created once per ``shard_map`` call (both stages reuse the same
-    workers and the same published substrate).  See the module
-    docstring for the scheduling and determinism contract.
+    workers and the same published substrate).  :attr:`stats` counts
+    ``tasks``, failed worker attempts (``worker_failures``) and tasks
+    run inline after exhausting their attempts (``inline_tasks``).
+    See the module docstring for the determinism contract.
     """
 
     def __init__(
@@ -318,170 +298,52 @@ class PodPool:
         timeout: float | None = None,
         retries: int | None = None,
     ) -> None:
-        import multiprocessing as mp
-
         if workers < 2:
             raise ModelError(f"PodPool needs >= 2 workers, got {workers}")
-        self._ctx = mp.get_context()
-        self._venv = venv
-        self._config = config
+        timeout, retries = resolve_budget(timeout, retries)
         topo = state.topology
-        self._host_ids: tuple = topo.nodes[: topo.n_hosts]
-        self._trace = obs.OBS.enabled
-        self.timeout = env_cell_timeout() if timeout is None else timeout
-        self.retries = env_cell_retries() if retries is None else retries
-        self.n_workers = workers
-        self.stats = {"tasks": 0, "worker_failures": 0, "inline_tasks": 0}
         self.substrate = SharedSubstrate.publish(state)
-        self._workers: list[_Worker] = []
+        self._context = (self.substrate, venv, config, topo.nodes[: topo.n_hosts])
+        self.stats = {"tasks": 0, "worker_failures": 0, "inline_tasks": 0}
         try:
-            for _ in range(workers):
-                self._workers.append(self._spawn())
-        except Exception:
-            self.close()
+            self._pool = WorkerPool(
+                _pod_task, self._context, workers, timeout=timeout, retries=retries
+            )
+        except BaseException:
+            self._free_substrate()
             raise
-
-    def _spawn(self) -> _Worker:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(
-            target=_pod_worker,
-            args=(
-                child_conn, self.substrate, self._venv, self._config,
-                self._host_ids, self._trace,
-            ),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        return _Worker(proc, parent_conn)
-
-    def _reap(self, worker: _Worker) -> None:
-        worker.proc.join(timeout=1.0)
-        if worker.proc.is_alive():
-            worker.proc.terminate()
-            worker.proc.join()
-        worker.conn.close()
-
-    def _inline(self, task: tuple):
-        """Ground-truth fallback: run the task in the parent.  Spans
-        nest naturally under the active stage span."""
-        self.stats["inline_tasks"] += 1
-        return _run_task(
-            self.substrate, self._venv, self._config, self._host_ids, task
-        ), []
 
     def run(self, tasks: Sequence[tuple]) -> list[tuple[object, list]]:
         """Execute *tasks* (one per pod) and return ``(payload, spans)``
         pairs **in task order**, regardless of completion order.
 
-        A worker that raises falls through to an inline re-run (the
-        task is deterministic, so the parent reproduces — and properly
-        raises — the same outcome).  A worker that crashes or blows its
-        deadline is replaced and the task re-attempted up to
-        ``retries`` times before the inline fallback.
+        A task whose attempts are exhausted runs inline in the parent:
+        the task is deterministic, so the parent reproduces the
+        worker's payload — or properly raises the same exception.
+        Inline spans nest under the active stage span, so the returned
+        span list is empty.
         """
-        from multiprocessing.connection import wait as mp_wait
-
-        results: list = [None] * len(tasks)
-        spans: list[list] = [[] for _ in tasks]
-        done = [False] * len(tasks)
-        pending: deque[tuple[int, int]] = deque((i, 0) for i in range(len(tasks)))
-        inflight: dict[_Worker, tuple[int, int, float | None]] = {}
         self.stats["tasks"] += len(tasks)
-
-        def settle_inline(idx: int) -> None:
-            results[idx], spans[idx] = self._inline(tasks[idx])
-            done[idx] = True
-
-        def attempt_failed(idx: int, attempt: int) -> None:
-            self.stats["worker_failures"] += 1
-            if attempt < self.retries:
-                pending.append((idx, attempt + 1))
-            else:
-                settle_inline(idx)
-
-        while pending or inflight:
-            idle = [w for w in self._workers if w not in inflight]
-            while pending and idle:
-                idx, attempt = pending.popleft()
-                worker = idle.pop()
-                worker.conn.send(tasks[idx])
-                deadline = (
-                    time.monotonic() + self.timeout
-                    if self.timeout is not None
-                    else None
-                )
-                inflight[worker] = (idx, attempt, deadline)
-            if not inflight:
-                continue
-
-            wait_for: float | None = None
-            if self.timeout is not None:
-                wait_for = max(
-                    min(d for _, _, d in inflight.values()) - time.monotonic(),
-                    0.0,
-                )
-            ready = set(
-                mp_wait(
-                    [w.conn for w in inflight]
-                    + [w.proc.sentinel for w in inflight],
-                    wait_for,
-                )
+        out: list[tuple[object, list]] = []
+        for task, outcome in zip(tasks, self._pool.run(tasks)):
+            self.stats["worker_failures"] += sum(
+                a.error is not None for a in outcome.attempts
             )
-            now = time.monotonic()
-            for worker in list(inflight):
-                idx, attempt, deadline = inflight[worker]
-                if worker.conn in ready:
-                    try:
-                        outcome = worker.conn.recv()
-                    except EOFError:
-                        outcome = None
-                    if outcome is None:
-                        del inflight[worker]
-                        self._replace(worker)
-                        attempt_failed(idx, attempt)
-                    elif outcome[0] == "ok":
-                        del inflight[worker]
-                        results[idx] = outcome[2]
-                        spans[idx] = outcome[3]
-                        done[idx] = True
-                    else:
-                        # In-task exception: deterministic, so re-run
-                        # inline — either it reproduces (and raises in
-                        # the parent, where it belongs) or the worker
-                        # hit a transient its parent does not share.
-                        del inflight[worker]
-                        settle_inline(idx)
-                elif worker.proc.sentinel in ready and not worker.conn.poll():
-                    del inflight[worker]
-                    self._replace(worker)
-                    attempt_failed(idx, attempt)
-                elif deadline is not None and now >= deadline:
-                    del inflight[worker]
-                    worker.proc.terminate()
-                    self._replace(worker)
-                    attempt_failed(idx, attempt)
+            if outcome.ok:
+                out.append((outcome.value, outcome.attempts[-1].spans))
+            else:
+                self.stats["inline_tasks"] += 1
+                out.append((_run_task(*self._context, task), []))
+        return out
 
-        assert all(done)
-        return list(zip(results, spans))
-
-    def _replace(self, worker: _Worker) -> None:
-        self._reap(worker)
-        self._workers.remove(worker)
-        self._workers.append(self._spawn())
+    def _free_substrate(self) -> None:
+        self.substrate.close()
+        self.substrate.unlink()
 
     def close(self) -> None:
         """Shut workers down and free the shared segment."""
-        for worker in self._workers:
-            try:
-                worker.conn.send(None)
-            except (OSError, ValueError):
-                pass
-        for worker in self._workers:
-            self._reap(worker)
-        self._workers.clear()
-        self.substrate.close()
-        self.substrate.unlink()
+        self._pool.close()
+        self._free_substrate()
 
     def __enter__(self) -> "PodPool":
         return self

@@ -26,7 +26,7 @@ from repro.analysis import (
 )
 from repro.api import run_grid
 from repro.baselines import register_mapper
-from repro.errors import ModelError
+from repro.errors import ConfigError, ModelError
 from repro.simulator import ExperimentSpec
 from repro.topology import switched_cluster, torus_cluster
 from repro.workload import HIGH_LEVEL, Scenario
@@ -192,6 +192,30 @@ class TestCrashTolerance:
         # Unset / non-positive means "no timeout".
         monkeypatch.setenv("REPRO_CELL_TIMEOUT", "0")
         assert BatchRunner(2).timeout is None
+
+    @pytest.mark.parametrize(
+        "name, raw",
+        [
+            ("REPRO_CELL_TIMEOUT", "abc"),
+            ("REPRO_CELL_RETRIES", "-1"),
+            ("REPRO_CELL_RETRIES", "two"),
+        ],
+    )
+    def test_env_bad_values_name_the_variable(self, monkeypatch, name, raw):
+        # One parser serves both worker-pool clients: the batch runner
+        # and the sharded pipeline's pod pool reject the same values.
+        from repro.core.state import ClusterState
+        from repro.hmn.config import HMNConfig
+        from repro.shard.parallel import PodPool
+        from repro.workload import generate_virtual_environment
+
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(ConfigError, match=name):
+            BatchRunner(2)
+        cluster = switched_cluster(8, seed=1)
+        venv = generate_virtual_environment(6, density=0.4, seed=1)
+        with pytest.raises(ConfigError, match=name):
+            PodPool(ClusterState(cluster), venv, HMNConfig(), 2)
 
     def test_serial_path_rejects_duplicate_keys(self):
         cells = hostile_cells(["hmn"])

@@ -157,6 +157,26 @@ class TestReplicaPlacement:
             assert host != state.host_of(g)
             assert domains.domain_of(host) != domains.domain_of(state.host_of(g))
 
+    def test_plan_tops_up_surviving_replicas(self, fat_tree):
+        # The chaos operator's replenish path: replica 0 of every guest
+        # is lost; the top-up refills index 0 away from the primary and
+        # the surviving replica 1.
+        state = ClusterState(fat_tree)
+        venv = _venv(4)
+        hmn_map(fat_tree, venv, HMNConfig(), state=state)
+        replicas, _ = plan_replicas(state, venv, 2)
+        survivors = {}
+        for g, placed in replicas.items():
+            state.unplace(placed[0][0])
+            survivors[g] = placed[1:]
+        topped, stats = plan_replicas(state, venv, 2, survivors)
+        assert stats["replicas_strict"] + stats["replicas_relaxed"] == len(survivors)
+        for g, placed in topped.items():
+            assert placed[0] == survivors[g][0]
+            rid, host = placed[1]
+            assert rid == replica_id(g, 0)
+            assert host not in {state.host_of(g), survivors[g][0][1]}
+
     def test_objective_and_cpu_untouched(self, fat_tree):
         state = ClusterState(fat_tree)
         venv = _venv(4)

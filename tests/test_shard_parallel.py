@@ -8,6 +8,7 @@ retries, and the inline fallback included.
 
 import dataclasses
 import os
+import time
 
 import pytest
 
@@ -185,6 +186,32 @@ class TestCrashTolerance:
         assert shard_meta["inline_tasks"] == 1
         assert shard_meta["worker_failures"] == 2  # first try + one retry
         validate_mapping(cluster, venv, m_par)
+
+    def test_worker_timeout_recovers_inline(self, monkeypatch):
+        # Every worker attempting pod 1's hosting task hangs; each
+        # attempt is terminated at its deadline and the worker replaced,
+        # then the parent runs the task inline (where it does not hang).
+        from repro.shard import parallel
+
+        cluster, venv = _instance()
+        d_serial, _ = _map_digest(cluster, venv, shard_workers=1)
+        parent, run_task = os.getpid(), parallel._run_task
+
+        def hang_in_worker(substrate, venv, config, host_ids, task):
+            if os.getpid() != parent and task[:2] == ("hosting", 1):
+                time.sleep(600)
+            return run_task(substrate, venv, config, host_ids, task)
+
+        monkeypatch.setattr(parallel, "_run_task", hang_in_worker)
+        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "1")
+        monkeypatch.setenv("REPRO_CELL_RETRIES", "1")
+        t0 = time.monotonic()
+        d_par, m_par = _map_digest(cluster, venv, shard_workers=2)
+        assert time.monotonic() - t0 < 60.0
+        assert d_par == d_serial
+        shard_meta = m_par.meta["shard"]
+        assert shard_meta["inline_tasks"] == 1
+        assert shard_meta["worker_failures"] == 2
 
 
 # ----------------------------------------------------------------------
